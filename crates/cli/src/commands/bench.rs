@@ -27,6 +27,10 @@
 //!   accident to slip through. The file is never rewritten, so reruns
 //!   leave it byte-identical.
 //!
+//! `--campaign` measures the fabric's worker scaling instead, and
+//! `--cluster` the cluster event loop ([`super::cluster_bench`], its own
+//! `BENCH_cluster.json` trajectory).
+//!
 //! The run store is deliberately rejected here: cached runs would
 //! measure the journal, not the engine.
 
@@ -88,7 +92,7 @@ impl Measured {
     }
 }
 
-fn round3(v: f64) -> f64 {
+pub(super) fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
 }
 
@@ -111,6 +115,10 @@ pub fn run(opts: &Opts) -> Result<ExitCode, String> {
         // The fabric scaling series is its own aspect: it measures
         // process-level parallelism, not single-engine throughput.
         return campaign(opts, &path, pin, check);
+    }
+    if opts.switch("cluster") {
+        // The cluster event loop runs on a fixed matrix: no engine work.
+        return super::cluster_bench::run(opts, pin, reps, tolerance);
     }
 
     let m = measure(opts, reps)?;
@@ -262,7 +270,7 @@ fn entry_json(id: &str, m: &Measured, speedup: Option<f64>) -> Json {
     Json::Obj(pairs)
 }
 
-fn read_file(path: &str) -> Result<Option<Json>, String> {
+pub(super) fn read_file(path: &str) -> Result<Option<Json>, String> {
     match std::fs::read_to_string(path) {
         Ok(text) => Json::parse(&text)
             .map(Some)
@@ -272,7 +280,24 @@ fn read_file(path: &str) -> Result<Option<Json>, String> {
     }
 }
 
-fn entries_of(doc: &Json) -> Result<Vec<Json>, String> {
+/// Errors unless `doc` was pinned with exactly these `params`: entries
+/// measured under other parameters are not comparable.
+pub(super) fn check_params(doc: &Json, params: &[(String, Json)]) -> Result<(), String> {
+    for (key, want) in params {
+        let found = doc.field(key).map_err(|e| format!("bench file: {e}"))?;
+        if found.render() != want.render() {
+            return Err(format!(
+                "bench file was pinned with {key}={}, this run uses {}; \
+                 delete the file to start a new trajectory",
+                found.render(),
+                want.render()
+            ));
+        }
+    }
+    Ok(())
+}
+
+pub(super) fn entries_of(doc: &Json) -> Result<Vec<Json>, String> {
     Ok(doc
         .field("entries")
         .and_then(|e| e.as_arr())
@@ -286,17 +311,7 @@ fn pin_entry(opts: &Opts, existing: Option<Json>, m: &Measured, id: &str) -> Res
     let params = params_json(opts)?;
     let mut entries = match &existing {
         Some(doc) => {
-            for (key, want) in &params {
-                let found = doc.field(key).map_err(|e| format!("bench file: {e}"))?;
-                if found.render() != want.render() {
-                    return Err(format!(
-                        "bench file was pinned with {key}={}, this run uses {}; \
-                         delete the file to start a new trajectory",
-                        found.render(),
-                        want.render()
-                    ));
-                }
-            }
+            check_params(doc, &params)?;
             entries_of(doc)?
         }
         None => Vec::new(),
@@ -333,16 +348,7 @@ fn check_against(
     m: &Measured,
     tolerance: f64,
 ) -> Result<ExitCode, String> {
-    for (key, want) in params_json(opts)? {
-        let found = doc.field(&key).map_err(|e| format!("bench file: {e}"))?;
-        if found.render() != want.render() {
-            return Err(format!(
-                "bench file was pinned with {key}={}, this run uses {}",
-                found.render(),
-                want.render()
-            ));
-        }
-    }
+    check_params(doc, &params_json(opts)?)?;
     let entries = entries_of(doc)?;
     let last = entries.last().ok_or("bench file has no entries; --pin one first")?;
     let id = last.field("id").and_then(|v| v.as_str()).unwrap_or("?").to_string();
@@ -551,17 +557,7 @@ fn pin_campaign(
     let params = params_json(opts)?;
     let entries = match &existing {
         Some(doc) => {
-            for (key, want) in &params {
-                let found = doc.field(key).map_err(|e| format!("bench file: {e}"))?;
-                if found.render() != want.render() {
-                    return Err(format!(
-                        "bench file was pinned with {key}={}, this run uses {}; \
-                         delete the file to start a new trajectory",
-                        found.render(),
-                        want.render()
-                    ));
-                }
-            }
+            check_params(doc, &params)?;
             entries_of(doc)?
         }
         None => Vec::new(),

@@ -24,8 +24,8 @@
 //! Output: `--json FILE` `--csv FILE` (deterministic regret report).
 
 use cochar_cluster::{
-    parse_trace, render_trace, simulate, Compose, Job, PolicyKind, RegretReport, RunRecord,
-    Scenario, SimConfig, Workload, MEASURED, PREDICTED,
+    compare_sweep, parse_trace, render_trace, simulate, Compose, Job, PolicyKind, RegretReport,
+    RunRecord, Scenario, SimConfig, Workload, MEASURED, PREDICTED,
 };
 use cochar_colocation::report::table::{f2, Table};
 use cochar_colocation::Study;
@@ -114,6 +114,12 @@ impl Setup {
         }
         if !(defrag_period > 0.0 && defrag_period.is_finite()) {
             return Err("--defrag-period must be positive".into());
+        }
+        if !(qos_cap > 0.0 && qos_cap.is_finite()) {
+            return Err("--qos must be positive and finite".into());
+        }
+        if !(slo_stretch > 0.0 && slo_stretch.is_finite()) {
+            return Err("--slo must be positive and finite".into());
         }
         if !(2..=apps).contains(&train_apps) {
             return Err(format!("--train-apps must be in [2, {apps}]"));
@@ -280,20 +286,11 @@ fn compare(
         PolicyKind::all().len()
     );
 
-    let mut runs = Vec::new();
-    for kind in PolicyKind::all() {
-        for (label, knowledge) in [(MEASURED, measured), (PREDICTED, &predicted)] {
-            let mut policy = kind.build(setup.seed, setup.qos_cap);
-            let outcome =
-                simulate(measured, knowledge, policy.as_mut(), jobs, &setup.sim_config(kind))
-                    .map_err(|e| e.to_string())?;
-            runs.push(RunRecord {
-                policy: kind.to_string(),
-                knowledge: label.to_string(),
-                outcome,
-            });
-        }
-    }
+    // The defrag kind's config carries the period; the sweep hands it to
+    // the defrag runs only.
+    let cfg = setup.sim_config(PolicyKind::Defrag);
+    let runs = compare_sweep(measured, &predicted, jobs, &cfg, setup.seed)
+        .map_err(|e| e.to_string())?;
     let report = RegretReport::new(setup.scenario(names, jobs.len(), true), runs);
 
     let mut t = Table::new(vec![
@@ -355,4 +352,27 @@ fn app_list<'a>(study: &Study, positional: &'a [String]) -> Result<Vec<&'a str>,
         names.push(n.as_str());
     }
     Ok(names)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn setup(args: &[&str]) -> Result<Setup, String> {
+        let mut argv = vec!["cluster".to_string(), "compare".to_string()];
+        argv.extend(args.iter().map(|s| s.to_string()));
+        Setup::from_opts(&Opts::parse(&argv)?, 6)
+    }
+
+    #[test]
+    fn scenario_numbers_must_be_positive_and_finite() {
+        assert!(setup(&[]).is_ok());
+        for (flag, value) in
+            [("--qos", "nan"), ("--qos", "inf"), ("--qos", "0"), ("--slo", "-1"), ("--slo", "NaN")]
+        {
+            let err = setup(&[flag, value]).err();
+            let err = err.unwrap_or_else(|| panic!("{flag} {value} accepted"));
+            assert!(err.contains(flag), "{flag} {value}: {err}");
+        }
+    }
 }

@@ -3,6 +3,7 @@
 pub mod bench;
 pub mod bubble;
 pub mod cluster;
+pub mod cluster_bench;
 pub mod fabric;
 pub mod heatmap;
 pub mod list;

@@ -88,6 +88,8 @@ commands:
                                [--json FILE (default BENCH_engine.json)]
                                [--pin ID: record an entry] [--check]
                                [--tolerance F (default 0.10)] [--reps N]
+                               [--cluster: time the cluster compare sweep
+                                instead (default BENCH_cluster.json)]
 
 global flags: --machine bench|scaled|paper   --work F   --threads N
               --trials N   --seed N

@@ -187,6 +187,15 @@ fn bad_inputs_are_reported_not_panics() {
     // tiny() appends its own --train-apps 2 first; the later flag wins.
     assert!(stderr_of_failure(&argrefs).contains("--train-apps"));
 
+    // Non-finite or non-positive scenario numbers, caught before any
+    // measurement runs.
+    for (flag, value) in [("--qos", "nan"), ("--slo", "-1")] {
+        let args = tiny(&["cluster", "compare"], &[flag, value]);
+        let argrefs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
+        let e = stderr_of_failure(&argrefs);
+        assert!(e.contains(&format!("{flag} must be positive")), "{flag} {value}: {e}");
+    }
+
     // Missing trace file.
     let args = tiny(&["cluster", "run"], &["--trace", "/nonexistent/jobs.trace"]);
     let argrefs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();

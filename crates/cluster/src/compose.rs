@@ -68,15 +68,29 @@ impl Compose {
     /// the worst composed slowdown any member suffers — the k-way
     /// generalization of `CostMatrix::cost`.
     pub fn bundle_cost(&self, matrix: &CostMatrix, members: &[usize]) -> f64 {
+        self.worst_member(matrix, members.len(), |slot| members[slot])
+    }
+
+    /// [`Compose::bundle_cost`] of `[members…, extra]` — the node's
+    /// bundle plus one candidate app — without building that bundle.
+    /// Folds in the same order, so the result is bit-identical.
+    pub fn bundle_cost_with(&self, matrix: &CostMatrix, members: &[usize], extra: usize) -> f64 {
+        let app_at = |slot: usize| members.get(slot).copied().unwrap_or(extra);
+        self.worst_member(matrix, members.len() + 1, app_at)
+    }
+
+    /// Worst composed slowdown over a `len`-slot bundle whose slot `s`
+    /// holds app `app_at(s)`, co-runners visited in slot order.
+    fn worst_member(
+        &self,
+        matrix: &CostMatrix,
+        len: usize,
+        app_at: impl Fn(usize) -> usize,
+    ) -> f64 {
         let mut worst = 1.0f64;
-        for (slot, &app) in members.iter().enumerate() {
-            let others = members
-                .iter()
-                .enumerate()
-                .filter(move |&(s, _)| s != slot)
-                .map(|(_, &a)| a);
-            let s = self.slowdown(matrix, app, others);
-            worst = worst.max(s);
+        for slot in 0..len {
+            let others = (0..len).filter(|&s| s != slot).map(&app_at);
+            worst = worst.max(self.slowdown(matrix, app_at(slot), others));
         }
         worst
     }
@@ -138,5 +152,33 @@ mod tests {
         }
         // Same-app pair uses the diagonal, like sched::online.
         assert_eq!(Compose::Max.bundle_cost(&m, &[0, 0]), 1.1);
+    }
+
+    #[test]
+    fn bundle_cost_with_is_bit_identical_to_the_built_bundle() {
+        // Irrational-ish entries so a different product order would show
+        // up in the low bits.
+        let m = CostMatrix {
+            names: vec!["a".into(), "b".into(), "c".into()],
+            slow: vec![
+                vec![1.1 / 3.0 + 1.0, 1.7f64.sqrt(), 0.93],
+                vec![2.0f64.ln() + 1.0, 1.01, 1.3f64.powf(1.1)],
+                vec![1.0 / 0.7, 1.23, 1.05f64.exp() / 2.5],
+            ],
+        };
+        let bundles: [&[usize]; 6] = [&[], &[0], &[2, 1], &[1, 1, 0], &[2, 0, 1, 2], &[0, 0, 0]];
+        for c in [Compose::Max, Compose::Product] {
+            for members in bundles {
+                for extra in 0..3 {
+                    let mut built = members.to_vec();
+                    built.push(extra);
+                    assert_eq!(
+                        c.bundle_cost_with(&m, members, extra).to_bits(),
+                        c.bundle_cost(&m, &built).to_bits(),
+                        "{c}: {members:?} + {extra}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -19,8 +19,9 @@
 //! * [`sim`] — the engine: truth matrix drives progress rates, knowledge
 //!   matrix drives decisions; per-job stretch/SLO accounting plus
 //!   time-integrated node-count, QoS-violation, and energy ledgers.
-//! * [`report`] — deterministic JSON/CSV regret report against the
-//!   offline-informed baseline.
+//! * [`report`] — the compare sweep ([`compare_sweep`]) and its
+//!   deterministic JSON/CSV regret report against the offline-informed
+//!   baseline.
 //! * [`compat`] — adapter running unmodified `sched::online` policies in
 //!   this engine (the cross-check harness).
 //!
@@ -44,5 +45,5 @@ pub use compose::Compose;
 pub use event::{Event, EventQueue};
 pub use job::{parse_trace, render_trace, Job, Workload};
 pub use policy::{ClusterPolicy, ClusterView, Placement, PolicyKind};
-pub use report::{RegretReport, RunRecord, Scenario, MEASURED, PREDICTED};
+pub use report::{compare_sweep, RegretReport, RunRecord, Scenario, MEASURED, PREDICTED};
 pub use sim::{simulate, ClusterOutcome, SimConfig, SimError};

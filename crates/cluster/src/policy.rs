@@ -59,9 +59,7 @@ impl ClusterView<'_> {
     /// suffer, judged by the knowledge matrix. At two slots this equals
     /// `CostMatrix::cost(app, occupant)`.
     pub fn placement_cost(&self, node: usize) -> f64 {
-        let mut members = self.nodes[node].clone();
-        members.push(self.app);
-        self.compose.bundle_cost(self.knowledge, &members)
+        self.compose.bundle_cost_with(self.knowledge, &self.nodes[node], self.app)
     }
 }
 
@@ -92,12 +90,13 @@ impl ClusterPolicy for Random {
     }
 
     fn place(&mut self, view: &ClusterView<'_>) -> Placement {
-        let free: Vec<usize> =
-            (0..view.nodes.len()).filter(|&n| view.has_free_slot(n)).collect();
-        if free.is_empty() {
+        let free = || (0..view.nodes.len()).filter(|&n| view.has_free_slot(n));
+        let count = free().count();
+        if count == 0 {
             return Placement::Queue;
         }
-        Placement::Node(free[self.rng.next_below(free.len() as u64) as usize])
+        let pick = self.rng.next_below(count as u64) as usize;
+        Placement::Node(free().nth(pick).expect("pick is below the free count"))
     }
 }
 

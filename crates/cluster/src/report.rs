@@ -12,9 +12,12 @@
 //! Rendering is byte-deterministic: fixed key order, floats at six
 //! decimals, no timestamps.
 
+use cochar_sched::CostMatrix;
 use cochar_store::json::Json;
 
-use crate::sim::ClusterOutcome;
+use crate::job::Job;
+use crate::policy::PolicyKind;
+use crate::sim::{simulate, ClusterOutcome, SimConfig, SimError};
 
 /// Knowledge-matrix label for a measured-matrix run.
 pub const MEASURED: &str = "measured";
@@ -57,6 +60,33 @@ pub struct RunRecord {
     pub knowledge: String,
     /// The engine's outcome.
     pub outcome: ClusterOutcome,
+}
+
+/// The compare sweep: every [`PolicyKind`] in report order, each deciding
+/// once from the measured (`truth`) and once from the `predicted`
+/// matrix, while progress always runs on `truth`. `cfg.defrag_period` is
+/// the defrag policy's period; the other policies run without
+/// defragmentation. `seed` feeds the stochastic policies.
+pub fn compare_sweep(
+    truth: &CostMatrix,
+    predicted: &CostMatrix,
+    jobs: &[Job],
+    cfg: &SimConfig,
+    seed: u64,
+) -> Result<Vec<RunRecord>, SimError> {
+    let mut runs = Vec::new();
+    for kind in PolicyKind::all() {
+        let cfg = SimConfig {
+            defrag_period: cfg.defrag_period.filter(|_| kind.wants_defrag()),
+            ..*cfg
+        };
+        for (label, knowledge) in [(MEASURED, truth), (PREDICTED, predicted)] {
+            let mut policy = kind.build(seed, cfg.qos_cap);
+            let outcome = simulate(truth, knowledge, policy.as_mut(), jobs, &cfg)?;
+            runs.push(RunRecord { policy: kind.to_string(), knowledge: label.into(), outcome });
+        }
+    }
+    Ok(runs)
 }
 
 /// A full compare sweep: scenario, runs, and the baseline they are

@@ -13,6 +13,15 @@
 //! `cochar_sched::online::simulate` to within floating-point noise
 //! (pinned at 1e-9 by `tests/crosscheck.rs`), which is what licenses
 //! demoting the old path to a fast special case.
+//!
+//! The engine is incremental. Each running job's rate and each node's
+//! QoS-violation flag are cached, and the caches are refreshed only in
+//! `reschedule`, over the event's dirty nodes (every node whose
+//! membership `start`, `complete_due` or `defragment` changed);
+//! `advance` only reads them, and debug builds check on every `advance`
+//! that both caches are bit-equal to a fresh computation. The ledger in
+//! `advance` walks every node in index order on purpose: its float sums
+//! are order-sensitive, and the report's bytes depend on them.
 
 use std::collections::VecDeque;
 
@@ -160,6 +169,15 @@ pub fn simulate(
     if cfg.nodes == 0 || cfg.slots == 0 {
         return config_err(format!("{} nodes x {} slots is an empty cluster", cfg.nodes, cfg.slots));
     }
+    if !(cfg.qos_cap.is_finite() && cfg.qos_cap > 0.0) {
+        return config_err(format!("QoS cap {} must be positive and finite", cfg.qos_cap));
+    }
+    if !(cfg.slo_stretch.is_finite() && cfg.slo_stretch > 0.0) {
+        return config_err(format!("SLO stretch {} must be positive and finite", cfg.slo_stretch));
+    }
+    if !(0.0..=1.0).contains(&cfg.idle_power) {
+        return config_err(format!("idle power {} must lie in [0, 1]", cfg.idle_power));
+    }
     if knowledge.len() != truth.len() {
         return config_err(format!(
             "knowledge matrix covers {} apps, truth covers {}",
@@ -186,11 +204,14 @@ pub fn simulate(
         cfg: *cfg,
         node_members: vec![Vec::new(); cfg.nodes],
         node_apps: vec![Vec::new(); cfg.nodes],
-        remaining: jobs.iter().map(|j| j.work).collect(),
+        running: Vec::new(),
+        left: Vec::new(),
+        rate_of: Vec::new(),
+        run_slot: vec![usize::MAX; jobs.len()],
+        violating: vec![false; cfg.nodes],
         node_of: vec![usize::MAX; jobs.len()],
         epoch: vec![0; jobs.len()],
         finish: vec![f64::NAN; jobs.len()],
-        running: Vec::new(),
         queue: VecDeque::new(),
         events: EventQueue::new(),
         pending_arrivals: jobs.len(),
@@ -232,11 +253,21 @@ struct Engine<'a> {
     node_members: Vec<Vec<usize>>,
     /// Apps on each node (parallel to `node_members`; what policies see).
     node_apps: Vec<Vec<usize>>,
-    remaining: Vec<f64>,
+    /// The running table: job ids plus, in the same order, each job's
+    /// remaining work and its progress rate as of the last `reschedule`.
+    /// Parallel arrays so the per-event sweeps read memory sequentially.
+    running: Vec<usize>,
+    left: Vec<f64>,
+    rate_of: Vec<f64>,
+    /// Each job's index in the running table (`usize::MAX` when not
+    /// running).
+    run_slot: Vec<usize>,
+    /// Whether each node's bundle breaches the QoS cap, as of the last
+    /// `reschedule`.
+    violating: Vec<bool>,
     node_of: Vec<usize>,
     epoch: Vec<u64>,
     finish: Vec<f64>,
-    running: Vec<usize>,
     queue: VecDeque<usize>,
     events: EventQueue,
     pending_arrivals: usize,
@@ -271,12 +302,17 @@ impl Engine<'_> {
     }
 
     /// Advances every running job by `dt` and accrues the time-integrated
-    /// ledgers, mirroring sched::online's accounting loop shape.
+    /// ledgers, mirroring sched::online's accounting loop shape. Reads the
+    /// rate and violation caches only; debug builds recompute both and
+    /// demand bit equality.
     fn advance(&mut self, dt: f64) {
-        for i in 0..self.running.len() {
-            let j = self.running[i];
-            self.remaining[j] -= dt * self.rate(j);
+        debug_assert!(self.caches_fresh(), "rate or violation cache went stale");
+        for (left, &rate) in self.left.iter_mut().zip(&self.rate_of) {
+            *left -= dt * rate;
         }
+        // The ledger walks every node in index order on purpose: the
+        // `slot_seconds` sum is order-sensitive, so a `dt * count` shortcut
+        // would change the report's bytes.
         let mut active = 0usize;
         for node in 0..self.cfg.nodes {
             let occ = self.node_members[node].len();
@@ -286,7 +322,7 @@ impl Engine<'_> {
             active += 1;
             self.node_seconds += dt;
             self.slot_seconds += dt * occ as f64;
-            if self.node_in_violation(node) {
+            if self.violating[node] {
                 self.qos_violation_time += dt;
             }
         }
@@ -298,25 +334,27 @@ impl Engine<'_> {
     /// Completes every running job whose work is exhausted.
     fn complete_due(&mut self, dirty: &mut Vec<usize>) {
         let mut i = 0;
-        while i < self.running.len() {
-            let j = self.running[i];
-            if self.remaining[j] <= DONE {
-                self.running.swap_remove(i);
-                self.finish[j] = self.now;
-                self.makespan = self.makespan.max(self.now);
-                let node = self.node_of[j];
-                let pos = self.node_members[node]
-                    .iter()
-                    .position(|&m| m == j)
-                    .expect("member bookkeeping");
-                self.node_members[node].remove(pos);
-                self.node_apps[node].remove(pos);
-                self.node_of[j] = usize::MAX;
-                self.epoch[j] += 1; // invalidate its pending JobEnd
-                dirty.push(node);
-            } else {
-                i += 1;
+        while let Some(skip) = self.left[i..].iter().position(|&left| left <= DONE) {
+            i += skip;
+            let j = self.running.swap_remove(i);
+            self.left.swap_remove(i);
+            self.rate_of.swap_remove(i);
+            if let Some(&moved) = self.running.get(i) {
+                self.run_slot[moved] = i;
             }
+            self.run_slot[j] = usize::MAX;
+            self.finish[j] = self.now;
+            self.makespan = self.makespan.max(self.now);
+            let node = self.node_of[j];
+            let pos = self.node_members[node]
+                .iter()
+                .position(|&m| m == j)
+                .expect("member bookkeeping");
+            self.node_members[node].remove(pos);
+            self.node_apps[node].remove(pos);
+            self.node_of[j] = usize::MAX;
+            self.epoch[j] += 1; // invalidate its pending JobEnd
+            dirty.push(node);
         }
     }
 
@@ -358,7 +396,10 @@ impl Engine<'_> {
         self.node_members[node].push(job);
         self.node_apps[node].push(self.jobs[job].app);
         self.node_of[job] = node;
+        self.run_slot[job] = self.running.len();
         self.running.push(job);
+        self.left.push(self.jobs[job].work);
+        self.rate_of.push(1.0); // refreshed by `reschedule` (`node` is dirty)
         dirty.push(node);
         Ok(())
     }
@@ -399,20 +440,37 @@ impl Engine<'_> {
         Ok(())
     }
 
-    /// Re-predicts completion times for every still-running member of the
-    /// touched nodes (their rates may have changed).
+    /// Refreshes the rate and violation caches of the touched nodes and
+    /// re-predicts completion times for their still-running members (their
+    /// rates may have changed). The only writer of both caches.
     fn reschedule(&mut self, dirty: &mut Vec<usize>) {
         dirty.sort_unstable();
         dirty.dedup();
         for &node in dirty.iter() {
+            self.violating[node] = self.node_in_violation(node);
             for i in 0..self.node_members[node].len() {
                 let j = self.node_members[node][i];
+                let slot = self.run_slot[j];
+                let rate = self.rate(j);
+                self.rate_of[slot] = rate;
                 self.epoch[j] += 1;
-                let eta = self.now + self.remaining[j].max(0.0) / self.rate(j);
+                let eta = self.now + self.left[slot].max(0.0) / rate;
                 self.events.push(eta, Event::JobEnd { job: j, epoch: self.epoch[j] });
             }
         }
         dirty.clear();
+    }
+
+    /// True if every cached rate and violation flag is bit-equal to a
+    /// fresh computation (the invariant `advance` relies on).
+    fn caches_fresh(&self) -> bool {
+        let rates_fresh = self.running.iter().zip(&self.rate_of).enumerate().all(
+            |(slot, (&j, &rate))| {
+                self.run_slot[j] == slot && rate.to_bits() == self.rate(j).to_bits()
+            },
+        );
+        rates_fresh
+            && (0..self.cfg.nodes).all(|n| self.violating[n] == self.node_in_violation(n))
     }
 
     /// Periodic consolidation: migrate jobs off lightly-loaded nodes onto
@@ -421,6 +479,8 @@ impl Engine<'_> {
     /// idle-power share of the energy ledger). All-or-nothing per source
     /// node; migrations are modeled as free (state fits in slot memory).
     fn defragment(&mut self, dirty: &mut Vec<usize>) {
+        let (compose, knowledge) = (self.cfg.compose, self.knowledge);
+        let mut plan: Vec<(usize, usize)> = Vec::new(); // (job, target)
         loop {
             // Source: the least-occupied non-empty node (ties: highest
             // index, so tail nodes empty first).
@@ -434,29 +494,27 @@ impl Engine<'_> {
                 }
             }
             let Some((_, src)) = source else { break };
-            // Plan a full evacuation against a scratch occupancy copy so
-            // intra-plan moves see each other.
-            let mut scratch = self.node_apps.clone();
-            let movers: Vec<usize> = self.node_members[src].clone();
-            let mut plan: Vec<(usize, usize)> = Vec::new(); // (job, target)
+            // Plan a full evacuation, tentatively pushing each mover's app
+            // onto its target so intra-plan moves see each other; an
+            // infeasible plan is popped back off.
+            plan.clear();
             let mut feasible = true;
-            for &job in &movers {
+            for i in 0..self.node_members[src].len() {
+                let job = self.node_members[src][i];
                 let app = self.jobs[job].app;
                 let mut best: Option<(usize, f64)> = None;
-                for (t, apps) in scratch.iter().enumerate() {
+                for (t, apps) in self.node_apps.iter().enumerate() {
                     if t == src || apps.is_empty() || apps.len() >= self.cfg.slots {
                         continue;
                     }
-                    let mut bundle = apps.clone();
-                    bundle.push(app);
-                    let cost = self.cfg.compose.bundle_cost(self.knowledge, &bundle);
+                    let cost = compose.bundle_cost_with(knowledge, apps, app);
                     if cost < self.cfg.qos_cap && best.is_none_or(|(_, c)| cost < c) {
                         best = Some((t, cost));
                     }
                 }
                 match best {
                     Some((t, _)) => {
-                        scratch[t].push(app);
+                        self.node_apps[t].push(app);
                         plan.push((job, t));
                     }
                     None => {
@@ -466,9 +524,12 @@ impl Engine<'_> {
                 }
             }
             if !feasible || plan.is_empty() {
+                for &(_, t) in plan.iter().rev() {
+                    self.node_apps[t].pop();
+                }
                 break;
             }
-            for (job, target) in plan {
+            for &(job, target) in &plan {
                 let pos = self.node_members[src]
                     .iter()
                     .position(|&m| m == job)
@@ -476,7 +537,6 @@ impl Engine<'_> {
                 self.node_members[src].remove(pos);
                 self.node_apps[src].remove(pos);
                 self.node_members[target].push(job);
-                self.node_apps[target].push(self.jobs[job].app);
                 self.node_of[job] = target;
                 self.migrations += 1;
                 dirty.push(target);
@@ -505,8 +565,12 @@ impl Engine<'_> {
                 Event::JobEnd { job, .. } => {
                     if self.finish[job].is_nan() {
                         // Prediction drift left a sliver of work: re-aim.
+                        // A fresh rate, not `rate_of`: this instant's
+                        // completions may have changed the job's node, and
+                        // the cache catches up only in `reschedule`.
                         self.epoch[job] += 1;
-                        let eta = self.now + self.remaining[job].max(0.0) / self.rate(job);
+                        let left = self.left[self.run_slot[job]];
+                        let eta = self.now + left.max(0.0) / self.rate(job);
                         self.events.push(eta, Event::JobEnd { job, epoch: self.epoch[job] });
                     }
                 }
@@ -780,6 +844,33 @@ mod tests {
         assert!(simulate(&m, &m, &mut FirstFit, &[], &cfg(0, 2)).is_err());
         let mismatched = CostMatrix { names: vec!["x".into()], slow: vec![vec![1.0]] };
         assert!(simulate(&m, &mismatched, &mut FirstFit, &[], &cfg(1, 2)).is_err());
+    }
+
+    #[test]
+    fn non_finite_or_out_of_range_scenario_numbers_are_config_errors() {
+        let m = matrix();
+        let jobs = burst(&[0, 1]);
+        let bad = [
+            SimConfig { qos_cap: f64::NAN, ..cfg(2, 2) },
+            SimConfig { qos_cap: f64::INFINITY, ..cfg(2, 2) },
+            SimConfig { qos_cap: 0.0, ..cfg(2, 2) },
+            SimConfig { slo_stretch: -1.0, ..cfg(2, 2) },
+            SimConfig { slo_stretch: f64::NAN, ..cfg(2, 2) },
+            SimConfig { idle_power: -0.1, ..cfg(2, 2) },
+            SimConfig { idle_power: 1.5, ..cfg(2, 2) },
+            SimConfig { idle_power: f64::NAN, ..cfg(2, 2) },
+        ];
+        for c in bad {
+            match simulate(&m, &m, &mut FirstFit, &jobs, &c) {
+                Err(SimError::Config { .. }) => {}
+                other => panic!("{c:?} gave {other:?}"),
+            }
+        }
+        // The boundaries of the idle-power range are fine.
+        for idle_power in [0.0, 1.0] {
+            let c = SimConfig { idle_power, ..cfg(2, 2) };
+            assert!(simulate(&m, &m, &mut FirstFit, &jobs, &c).is_ok());
+        }
     }
 
     #[test]

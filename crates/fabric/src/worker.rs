@@ -99,8 +99,9 @@ impl WorkerChaos {
 pub struct WorkerConfig {
     /// Coordinator address (`host:port`).
     pub connect: String,
-    /// Private store directory; a scratch dir (removed on clean exit)
-    /// when absent. The coordinator passes a directory it will harvest.
+    /// Private store directory; when absent, a scratch dir unique to this
+    /// call (removed when the worker returns). The coordinator passes a
+    /// directory it will harvest.
     pub store_dir: Option<PathBuf>,
     /// Label echoed in `claim` (diagnostics only).
     pub label: String,
@@ -190,6 +191,10 @@ struct WorkerState {
 }
 
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
+
+/// Numbers the scratch stores this process opens, so in-process workers
+/// sharing a label (and a pid) never collide on one directory lock.
+static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// What [`recv`] yielded.
 enum Recv {
@@ -311,11 +316,11 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
     // simulates a denominator. Opened once; sessions share it.
     let (store_dir, scratch) = match &cfg.store_dir {
         Some(dir) => (dir.clone(), false),
-        None => (
-            std::env::temp_dir()
-                .join(format!("cochar-worker-{}-{}", cfg.label, std::process::id())),
-            true,
-        ),
+        None => {
+            let n = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
+            let name = format!("cochar-worker-{}-{}-{n}", cfg.label, std::process::id());
+            (std::env::temp_dir().join(name), true)
+        }
     };
     let store = RunStore::open(&store_dir).map_err(|e| e.to_string())?;
     // One chaos state for the whole process: frame indices keep counting

@@ -5,11 +5,13 @@
 //! the protocol, the retry policy split, and CSV byte-identity.
 
 use std::sync::mpsc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use cochar_colocation::{Heatmap, SweepPolicy};
 use cochar_fabric::{
     run_campaign, run_worker, CampaignSpec, FabricConfig, WirePlan, WorkerChaos, WorkerConfig,
+    WorkerSummary,
 };
 
 const NAMES: [&str; 3] = ["blackscholes", "swaptions", "stream"];
@@ -26,12 +28,38 @@ fn tiny_spec() -> CampaignSpec {
     }
 }
 
+type Worker = JoinHandle<Result<WorkerSummary, String>>;
+
+/// Starts an in-process worker on its own thread. Not scoped: a
+/// hang-chaos worker sleeps forever and must not block test exit.
+fn spawn_worker(cfg: WorkerConfig) -> Worker {
+    std::thread::spawn(move || run_worker(&cfg))
+}
+
+/// Joins the workers once the campaign is over and asserts each one
+/// returned `Ok`. Exactly `hung` of them are expected never to return
+/// (hang chaos); they are left running.
+fn join_workers(mut workers: Vec<Worker>, hung: usize) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while workers.len() > hung && Instant::now() < deadline {
+        let (done, running): (Vec<Worker>, Vec<Worker>) =
+            workers.into_iter().partition(|w| w.is_finished());
+        for w in done {
+            w.join().expect("worker thread").expect("worker exits Ok");
+        }
+        workers = running;
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(workers.len(), hung, "workers still running after the campaign");
+}
+
 /// Runs `spec` through the fabric with `n` in-process workers, each
-/// configured by `mk_cfg(i, addr)`.
+/// configured by `mk_cfg(i, addr)`, of which `hung` never return.
 fn run_distributed(
     spec: &CampaignSpec,
     cfg: FabricConfig,
     n: usize,
+    hung: usize,
     mk_cfg: impl Fn(usize, &str) -> WorkerConfig,
 ) -> cochar_fabric::FabricOutcome {
     let (tx, rx) = mpsc::channel();
@@ -43,15 +71,10 @@ fn run_distributed(
         let addr = rx
             .recv_timeout(Duration::from_secs(30))
             .expect("coordinator publishes its address");
-        for i in 0..n {
-            let wcfg = mk_cfg(i, &addr);
-            // Detached on purpose: a hang-chaos worker sleeps forever and
-            // must not block test exit; healthy workers finish on `done`.
-            std::thread::spawn(move || {
-                let _ = run_worker(&wcfg);
-            });
-        }
-        coord.join().expect("coordinator thread").expect("campaign succeeds")
+        let workers = (0..n).map(|i| spawn_worker(mk_cfg(i, &addr))).collect();
+        let outcome = coord.join().expect("coordinator thread").expect("campaign succeeds");
+        join_workers(workers, hung);
+        outcome
     })
 }
 
@@ -64,7 +87,7 @@ fn reference_csv(spec: &CampaignSpec) -> String {
 #[test]
 fn distributed_equals_local() {
     let spec = tiny_spec();
-    let outcome = run_distributed(&spec, FabricConfig::default(), 2, |i, addr| {
+    let outcome = run_distributed(&spec, FabricConfig::default(), 2, 0, |i, addr| {
         let mut c = WorkerConfig::new(addr);
         c.label = format!("w{i}");
         c
@@ -77,6 +100,21 @@ fn distributed_equals_local() {
 }
 
 #[test]
+fn workers_sharing_a_label_get_separate_scratch_stores() {
+    // Two in-process workers share a pid and here a label too, so only
+    // the per-process counter keeps their scratch stores (and store
+    // locks) apart; both must serve and exit Ok.
+    let spec = tiny_spec();
+    let outcome = run_distributed(&spec, FabricConfig::default(), 2, 0, |_, addr| {
+        let mut c = WorkerConfig::new(addr);
+        c.label = "twin".into();
+        c
+    });
+    assert!(outcome.failures.is_empty(), "failures: {:?}", outcome.failures);
+    assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
+}
+
+#[test]
 fn panicking_cell_is_retried_by_coordinator() {
     let spec = tiny_spec();
     let cfg = FabricConfig {
@@ -86,7 +124,7 @@ fn panicking_cell_is_retried_by_coordinator() {
     // The worker's chaos cell panics on attempt 0 and succeeds from
     // attempt 1 — so the CSV only matches the reference if the
     // coordinator actually re-issues with a bumped attempt.
-    let outcome = run_distributed(&spec, cfg, 1, |_, addr| {
+    let outcome = run_distributed(&spec, cfg, 1, 0, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_cell = Some(("swaptions".into(), "stream".into(), 1));
         c
@@ -119,7 +157,7 @@ fn exhausted_retries_leave_a_hole() {
         ..FabricConfig::default()
     };
     // Succeeds only from attempt 5, budget allows attempts 0 and 1.
-    let outcome = run_distributed(&spec, cfg, 1, |_, addr| {
+    let outcome = run_distributed(&spec, cfg, 1, 0, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_cell = Some(("swaptions".into(), "stream".into(), 5));
         c
@@ -143,7 +181,7 @@ fn hung_worker_lease_expires_and_cell_is_reissued() {
     // issue, so whichever worker draws the trigger cell silences its
     // heartbeat and sleeps — the other must pick up the expired lease and
     // compute the re-issue (issue 1) normally.
-    let outcome = run_distributed(&spec, cfg, 2, |i, addr| {
+    let outcome = run_distributed(&spec, cfg, 2, 1, |i, addr| {
         let mut c = WorkerConfig::new(addr);
         c.label = format!("w{i}");
         c.chaos_worker =
@@ -169,10 +207,10 @@ fn store_backed_campaign_is_cached_on_rerun() {
     let first = std::thread::scope(|scope| {
         let coord = scope.spawn(|| run_campaign(&study, &spec, &cfg, |_, _| {}));
         let addr = rx.recv_timeout(Duration::from_secs(30)).expect("bound");
-        std::thread::spawn(move || {
-            let _ = run_worker(&WorkerConfig::new(&addr));
-        });
-        coord.join().expect("join").expect("campaign succeeds")
+        let worker = spawn_worker(WorkerConfig::new(&addr));
+        let outcome = coord.join().expect("join").expect("campaign succeeds");
+        join_workers(vec![worker], 0);
+        outcome
     });
     assert!(first.failures.is_empty());
     assert!(first.ledger.records_merged > 0, "worker results land in the store");
@@ -223,7 +261,7 @@ fn duplicated_result_is_dismissed_exactly_once() {
     // Outbound frame 1 is the worker's first result; `dup@1` sends it
     // twice. The coordinator must settle the cell once, dismiss the
     // replay, and the CSV must be unaffected.
-    let outcome = run_distributed(&spec, FabricConfig::default(), 1, |_, addr| {
+    let outcome = run_distributed(&spec, FabricConfig::default(), 1, 0, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_wire = Some(WirePlan::parse("dup@1").unwrap());
         c
@@ -240,7 +278,7 @@ fn corrupted_frame_forces_reconnect_and_resend() {
     // checksum mismatch on the worker's first result, drops the
     // connection, and the worker must reconnect and resend the
     // unacknowledged result.
-    let outcome = run_distributed(&spec, FabricConfig::default(), 1, |_, addr| {
+    let outcome = run_distributed(&spec, FabricConfig::default(), 1, 0, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_wire = Some(WirePlan::parse("flip@1:40").unwrap());
         c
@@ -254,7 +292,7 @@ fn corrupted_frame_forces_reconnect_and_resend() {
 #[test]
 fn injected_close_is_survived_by_reconnect() {
     let spec = tiny_spec();
-    let outcome = run_distributed(&spec, FabricConfig::default(), 1, |_, addr| {
+    let outcome = run_distributed(&spec, FabricConfig::default(), 1, 0, |_, addr| {
         let mut c = WorkerConfig::new(addr);
         c.chaos_wire = Some(WirePlan::parse("close@2").unwrap());
         c
@@ -302,11 +340,10 @@ fn mismatched_fingerprint_claim_is_dismissed() {
         assert!(matches!(reply, Msg::Done), "impostor got {reply:?}");
 
         // An honest worker then completes the campaign.
-        let waddr = addr.clone();
-        std::thread::spawn(move || {
-            let _ = run_worker(&WorkerConfig::new(&waddr));
-        });
-        coord.join().expect("join").expect("campaign succeeds")
+        let worker = spawn_worker(WorkerConfig::new(&addr));
+        let outcome = coord.join().expect("join").expect("campaign succeeds");
+        join_workers(vec![worker], 0);
+        outcome
     });
     assert!(outcome.failures.is_empty());
     assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
