@@ -22,17 +22,15 @@
 //! * [`report`] — the compare sweep ([`compare_sweep`]) and its
 //!   deterministic JSON/CSV regret report against the offline-informed
 //!   baseline.
-//! * [`compat`] — adapter running unmodified `sched::online` policies in
-//!   this engine (the cross-check harness).
 //!
-//! At `slots = 2` the engine reproduces `cochar_sched::online::simulate`
-//! to within 1e-9 on makespan, mean stretch, and node-seconds
-//! (`tests/crosscheck.rs`), so results here extend — rather than fork —
-//! the two-slot story.
+//! This is the workspace's one online placement simulator. At
+//! `slots = 2` it reproduces the retired two-slot engine to within 1e-9
+//! on makespan, mean stretch, node-seconds and QoS-violation time,
+//! checked against outputs recorded from that engine
+//! (`tests/crosscheck.rs`, `tests/golden/online_k2.txt`).
 
 #![warn(missing_docs)]
 
-pub mod compat;
 pub mod compose;
 pub mod event;
 pub mod job;
@@ -40,7 +38,6 @@ pub mod policy;
 pub mod report;
 pub mod sim;
 
-pub use compat::OnlineAdapter;
 pub use compose::Compose;
 pub use event::{Event, EventQueue};
 pub use job::{parse_trace, render_trace, Job, Workload};

@@ -144,8 +144,7 @@ impl ClusterPolicy for BestFit {
 }
 
 /// Least-loaded node first (ties: lowest index) — spread for latency. At
-/// two slots this reproduces `sched::online::FirstFit` exactly: empty
-/// nodes first, then half-full ones.
+/// two slots this is empty nodes first, then half-full ones.
 pub struct Spread;
 
 impl ClusterPolicy for Spread {
@@ -173,8 +172,7 @@ impl ClusterPolicy for Spread {
 /// Interference-aware: the occupied free-slotted node with the cheapest
 /// composed bundle cost if it stays under the QoS cap; otherwise an
 /// empty node; only breach the cap when nothing else is available and
-/// `strict` is off. The k-slot generalization of
-/// `sched::online::InterferenceAware` (decision-identical at 2 slots).
+/// `strict` is off.
 pub struct InterferenceAware {
     /// Bundles at or above this cost are avoided.
     pub qos_cap: f64,
@@ -195,8 +193,7 @@ impl ClusterPolicy for InterferenceAware {
     }
 
     fn place(&mut self, view: &ClusterView<'_>) -> Placement {
-        // Cheapest *occupied* node with a free slot (first minimum wins,
-        // matching sched::online's min_by tie-break).
+        // Cheapest *occupied* node with a free slot (first minimum wins).
         let mut best: Option<(usize, f64)> = None;
         for (n, members) in view.nodes.iter().enumerate() {
             if members.is_empty() || members.len() >= view.slots {

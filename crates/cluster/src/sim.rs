@@ -9,10 +9,9 @@
 //! runs on the measured one is how predicted-placement regret is
 //! quantified.
 //!
-//! At two slots per node this engine reproduces
-//! `cochar_sched::online::simulate` to within floating-point noise
-//! (pinned at 1e-9 by `tests/crosscheck.rs`), which is what licenses
-//! demoting the old path to a fast special case.
+//! At two slots per node this engine reproduces the retired two-slot
+//! engine to within 1e-9 (`tests/crosscheck.rs` replays its recorded
+//! outputs from `tests/golden/online_k2.txt`).
 //!
 //! The engine is incremental. Each running job's rate and each node's
 //! QoS-violation flag are cached, and the caches are refreshed only in
@@ -32,10 +31,10 @@ use crate::event::{Event, EventQueue};
 use crate::job::Job;
 use crate::policy::{ClusterPolicy, ClusterView, Placement};
 
-/// Completion epsilon on remaining work, matching `sched::online`.
+/// Completion epsilon on remaining work.
 const DONE: f64 = 1e-9;
 
-/// Simultaneity window for arrival batching, matching `sched::online`.
+/// Simultaneity window for arrival batching.
 const TIE: f64 = 1e-12;
 
 /// Scenario knobs for one simulation.
@@ -227,7 +226,7 @@ pub fn simulate(
     };
 
     // Arrival events in (time, index) order so simultaneous arrivals are
-    // processed in job-list order, like sched::online's stable sort.
+    // processed in job-list order.
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| jobs[a].arrival.total_cmp(&jobs[b].arrival).then(a.cmp(&b)));
     for &j in &order {
@@ -302,9 +301,8 @@ impl Engine<'_> {
     }
 
     /// Advances every running job by `dt` and accrues the time-integrated
-    /// ledgers, mirroring sched::online's accounting loop shape. Reads the
-    /// rate and violation caches only; debug builds recompute both and
-    /// demand bit equality.
+    /// ledgers. Reads the rate and violation caches only; debug builds
+    /// recompute both and demand bit equality.
     fn advance(&mut self, dt: f64) {
         debug_assert!(self.caches_fresh(), "rate or violation cache went stale");
         for (left, &rate) in self.left.iter_mut().zip(&self.rate_of) {
@@ -554,7 +552,7 @@ impl Engine<'_> {
             }
             self.now = t;
             // Completions first (frees capacity), then the FIFO queue,
-            // then arrivals due at this instant — sched::online's order.
+            // then arrivals due at this instant.
             self.complete_due(&mut dirty);
             self.drain_queue(policy, &mut dirty)?;
             match ev {
@@ -691,6 +689,15 @@ mod tests {
         assert!((out.makespan - 10.0).abs() < 1e-9);
         assert!((out.mean_stretch - 1.0).abs() < 1e-9);
         assert_eq!(out.peak_active_nodes, 1);
+        // Staggered arrivals that never overlap: the second job waits for
+        // its arrival time and then also runs solo.
+        let jobs = vec![
+            Job { app: 0, arrival: 0.0, work: 5.0 },
+            Job { app: 0, arrival: 100.0, work: 5.0 },
+        ];
+        let out = simulate(&m, &m, &mut Spread, &jobs, &cfg(1, 2)).unwrap();
+        assert!((out.makespan - 105.0).abs() < 1e-9, "makespan {}", out.makespan);
+        assert!((out.mean_stretch - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -704,6 +711,32 @@ mod tests {
         let out = simulate(&m, &m, &mut Spread, &burst(&[0, 1]), &cfg(2, 2)).unwrap();
         assert!((out.makespan - 10.0).abs() < 1e-9, "makespan {}", out.makespan);
         assert_eq!(out.qos_violation_time, 0.0);
+        // A same-app pair runs at the matrix diagonal, the self-co-run
+        // slowdown: two "loud" jobs at slow[1][1] = 2 finish at t = 20.
+        let diag = CostMatrix {
+            names: vec!["quiet".into(), "loud".into()],
+            slow: vec![vec![1.0, 1.0], vec![1.0, 2.0]],
+        };
+        let c = SimConfig { qos_cap: 3.0, ..cfg(1, 2) };
+        let out = simulate(&diag, &diag, &mut Spread, &burst(&[1, 1]), &c).unwrap();
+        assert!((out.makespan - 20.0).abs() < 1e-9, "makespan {}", out.makespan);
+        // Asymmetric directed slowdowns drive both rates and QoS: app 0
+        // speeds up next to app 1 (0.8x) while app 1 suffers 1.6x. Job 0
+        // runs at 1.25 and finishes at t = 8; job 1 has 10 - 8 * 0.625 = 5
+        // left, runs solo and finishes at t = 13. The 1.6 direction
+        // breaches the 1.5 cap while both run.
+        let asym = CostMatrix {
+            names: vec!["winner".into(), "loser".into()],
+            slow: vec![vec![1.0, 0.8], vec![1.6, 1.0]],
+        };
+        let out = simulate(&asym, &asym, &mut Spread, &burst(&[0, 1]), &cfg(1, 2)).unwrap();
+        assert!((out.makespan - 13.0).abs() < 1e-9, "makespan {}", out.makespan);
+        assert!(
+            (out.mean_stretch - (0.8 + 1.3) / 2.0).abs() < 1e-9,
+            "stretch {}",
+            out.mean_stretch
+        );
+        assert!((out.qos_violation_time - 8.0).abs() < 1e-9, "qos {}", out.qos_violation_time);
     }
 
     #[test]
@@ -729,6 +762,19 @@ mod tests {
         assert!(out.makespan > 20.0, "makespan {}", out.makespan);
         assert_eq!(out.peak_queue, 3);
         assert!(out.mean_stretch > 1.5);
+        // A strict policy queues rather than breach the cap. Three quiet
+        // jobs on one node: two share at 1.05 until t = 10.5, then the
+        // queued third runs solo for 10.
+        let mut strict = InterferenceAware { qos_cap: 1.5, strict: true };
+        let out = simulate(&m, &m, &mut strict, &burst(&[0, 0, 0]), &cfg(1, 2)).unwrap();
+        assert!((out.makespan - 20.5).abs() < 1e-9, "makespan {}", out.makespan);
+        assert_eq!(out.peak_queue, 1);
+        assert_eq!(out.qos_violation_time, 0.0);
+        // A quiet and a loud job would pair at 2.0: the strict policy
+        // runs them one after the other instead.
+        let out = simulate(&m, &m, &mut strict, &burst(&[0, 1]), &cfg(1, 2)).unwrap();
+        assert!((out.makespan - 20.0).abs() < 1e-9, "makespan {}", out.makespan);
+        assert_eq!(out.qos_violation_time, 0.0);
     }
 
     #[test]
@@ -743,6 +789,16 @@ mod tests {
         let jobs = burst(&[0, 1, 1, 0]);
         let mut informed = InterferenceAware::new(1.5);
         let good = simulate(&truth, &truth, &mut informed, &jobs, &cfg(2, 2)).unwrap();
+        // Interference-blind spreading pairs across types, as the wrong
+        // knowledge does; informed placement pairs like with like.
+        let blind = simulate(&truth, &truth, &mut Spread, &jobs, &cfg(2, 2)).unwrap();
+        assert!(
+            good.makespan < blind.makespan - 1.0,
+            "aware {} should beat spread {}",
+            good.makespan,
+            blind.makespan
+        );
+        assert!(blind.qos_violation_time > 0.0);
         let mut misled = InterferenceAware::new(1.5);
         let bad = simulate(&truth, &wrong, &mut misled, &jobs, &cfg(2, 2)).unwrap();
         assert!(
@@ -890,6 +946,13 @@ mod tests {
             sp.node_seconds
         );
         assert!(bf.energy < sp.energy);
+        // Node-seconds count busy nodes, not jobs: two harmless jobs
+        // sharing one node cost 10.5 node-seconds, spread over two 20.
+        let m = matrix();
+        let shared = simulate(&m, &m, &mut Spread, &burst(&[0, 0]), &cfg(1, 2)).unwrap();
+        let apart = simulate(&m, &m, &mut Spread, &burst(&[0, 0]), &cfg(2, 2)).unwrap();
+        assert!((shared.node_seconds - 10.5).abs() < 1e-9, "shared {}", shared.node_seconds);
+        assert!((apart.node_seconds - 20.0).abs() < 1e-9, "apart {}", apart.node_seconds);
     }
 
     #[test]

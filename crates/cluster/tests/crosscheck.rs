@@ -1,14 +1,18 @@
 //! Cross-check: at two slots per node, the cluster engine must reproduce
-//! `cochar_sched::online::simulate` — same jobs, same policy decisions,
-//! same metrics to within 1e-9. The two engines compute completion times
-//! differently (the old one re-derives the next completion every loop,
-//! this one schedules predicted events and re-aims on drift), so this
-//! agreement is what licenses treating the old path as a special case of
-//! the new one rather than a fork.
+//! the retired two-slot engine, cochar-sched's `online::simulate`. Its
+//! outputs were recorded in `tests/golden/online_k2.txt` before it was
+//! removed; each scenario here replays the same job list through the
+//! cluster engine at `slots: 2, Compose::Max` and must match every
+//! recorded metric to within 1e-9. The old engine re-derived the next
+//! completion every loop, this one schedules predicted events and
+//! re-aims on drift, so this agreement is what makes the old loop a
+//! special case of this one rather than a fork.
 
-use cochar_cluster::{simulate, Compose, OnlineAdapter, SimConfig, Workload};
-use cochar_sched::online::{self, OnlinePolicy};
+use cochar_cluster::policy::{InterferenceAware, Spread};
+use cochar_cluster::{simulate, ClusterPolicy, Compose, Job, SimConfig, Workload};
 use cochar_sched::CostMatrix;
+
+const QOS_CAP: f64 = 1.5;
 
 /// Four apps with asymmetric directed slowdowns, including a
 /// constructive (sub-1.0) co-run and pairs straddling the QoS cap.
@@ -24,102 +28,93 @@ fn matrix() -> CostMatrix {
     }
 }
 
-fn cfg(nodes: usize, qos_cap: f64) -> SimConfig {
-    SimConfig {
-        nodes,
-        slots: 2,
-        qos_cap,
-        compose: Compose::Max,
-        ..SimConfig::default()
+/// The recorded metrics of the run named `case`, in file order:
+/// makespan, mean stretch, node-seconds, QoS-violation time.
+fn recorded(case: &str) -> [f64; 4] {
+    let text = include_str!("golden/online_k2.txt");
+    let line = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .find(|l| l.split_whitespace().next() == Some(case))
+        .unwrap_or_else(|| panic!("no recorded run {case}"));
+    let mut values = line.split_whitespace().skip(1).map(|field| {
+        let (_, v) = field.split_once('=').expect("field is name=value");
+        v.parse::<f64>().expect("recorded value is a float")
+    });
+    std::array::from_fn(|_| values.next().expect("four recorded metrics"))
+}
+
+/// The recorded policy's cluster counterpart.
+fn policy(name: &str) -> Box<dyn ClusterPolicy> {
+    match name {
+        "first-fit" => Box::new(Spread),
+        "interference-aware" => Box::new(InterferenceAware::new(QOS_CAP)),
+        other => panic!("no cluster counterpart for {other}"),
     }
 }
 
-/// Runs the same (policy, jobs, cluster) through both engines and
-/// asserts the shared metrics agree to 1e-9.
-fn check<P: OnlinePolicy>(policy: P, seed: u64, nodes: usize, jobs: usize, rate: f64) {
+/// Runs `jobs` through the cluster engine under the policy the case
+/// names and asserts every metric matches the recording to 1e-9.
+fn check(case: &str, jobs: &[Job], nodes: usize) {
     let m = matrix();
-    let w = Workload { arrival_rate: rate, mean_work: 8.0, seed };
-    let list = w.generate(jobs, m.len());
-    let qos_cap = 1.5;
-
-    let old = online::simulate(&m, &policy, &list, nodes, qos_cap);
-    let mut adapted = OnlineAdapter::new(policy);
-    let new = simulate(&m, &m, &mut adapted, &list, &cfg(nodes, qos_cap)).unwrap();
-
-    let close = |a: f64, b: f64, what: &str| {
-        assert!(
-            (a - b).abs() <= 1e-9,
-            "{what} diverged (seed {seed}, {nodes} nodes, {jobs} jobs): old {a} vs new {b}"
-        );
+    let cfg = SimConfig {
+        nodes,
+        slots: 2,
+        qos_cap: QOS_CAP,
+        compose: Compose::Max,
+        ..SimConfig::default()
     };
-    close(old.makespan, new.makespan, "makespan");
-    close(old.mean_stretch, new.mean_stretch, "mean_stretch");
-    close(old.node_seconds, new.node_seconds, "node_seconds");
-    close(old.qos_violation_time, new.qos_violation_time, "qos_violation_time");
+    let (_, name) = case.split_once('/').expect("case is scenario/policy");
+    let out = simulate(&m, &m, policy(name).as_mut(), jobs, &cfg).unwrap();
+    let got = [out.makespan, out.mean_stretch, out.node_seconds, out.qos_violation_time];
+    let what = ["makespan", "mean_stretch", "node_seconds", "qos_violation_time"];
+    for ((old, new), what) in recorded(case).into_iter().zip(got).zip(what) {
+        assert!(
+            (old - new).abs() <= 1e-9,
+            "{case}: {what} diverged: recorded {old:?} vs engine {new:?}"
+        );
+    }
+}
+
+fn poisson(seed: u64, count: usize, rate: f64) -> Vec<Job> {
+    Workload { arrival_rate: rate, mean_work: 8.0, seed }.generate(count, matrix().len())
 }
 
 #[test]
 fn first_fit_agrees_across_engines() {
     for seed in [1, 7, 42] {
-        check(online::FirstFit, seed, 16, 300, 3.0);
+        check(&format!("seed{seed}/first-fit"), &poisson(seed, 300, 3.0), 16);
     }
 }
 
 #[test]
 fn interference_aware_agrees_across_engines() {
     for seed in [1, 7, 42] {
-        check(online::InterferenceAware::new(1.5), seed, 16, 300, 3.0);
+        check(&format!("seed{seed}/interference-aware"), &poisson(seed, 300, 3.0), 16);
     }
 }
 
 #[test]
 fn overloaded_cluster_with_queueing_agrees() {
     // Few nodes, hot arrival rate: the queue is exercised hard.
-    check(online::FirstFit, 11, 4, 200, 2.5);
-    check(online::InterferenceAware::new(1.5), 11, 4, 200, 2.5);
+    let jobs = poisson(11, 200, 2.5);
+    check("overloaded/first-fit", &jobs, 4);
+    check("overloaded/interference-aware", &jobs, 4);
 }
 
 #[test]
 fn simultaneous_arrivals_agree() {
-    // Arrival ties stress the batching epsilon in both engines.
-    let m = matrix();
-    let jobs: Vec<cochar_cluster::Job> = (0..40)
-        .map(|i| cochar_cluster::Job {
-            app: i % m.len(),
-            arrival: (i / 8) as f64 * 4.0,
-            work: 5.0 + (i % 3) as f64,
-        })
+    // Arrival ties stress the engine's batching epsilon.
+    let apps = matrix().len();
+    let jobs: Vec<Job> = (0..40)
+        .map(|i| Job { app: i % apps, arrival: (i / 8) as f64 * 4.0, work: 5.0 + (i % 3) as f64 })
         .collect();
-    let old = online::simulate(&m, &online::FirstFit, &jobs, 8, 1.5);
-    let mut adapted = OnlineAdapter::new(online::FirstFit);
-    let new = simulate(&m, &m, &mut adapted, &jobs, &cfg(8, 1.5)).unwrap();
-    assert!((old.makespan - new.makespan).abs() <= 1e-9);
-    assert!((old.mean_stretch - new.mean_stretch).abs() <= 1e-9);
-    assert!((old.node_seconds - new.node_seconds).abs() <= 1e-9);
-    assert!((old.qos_violation_time - new.qos_violation_time).abs() <= 1e-9);
+    check("simultaneous/first-fit", &jobs, 8);
 }
 
 #[test]
-fn native_policies_match_their_sched_counterparts_end_to_end() {
-    // cluster::Spread reimplements sched FirstFit at two slots, and
-    // cluster::InterferenceAware reimplements sched InterferenceAware;
-    // whole-simulation metrics must agree, not just single decisions.
-    let m = matrix();
-    let w = Workload { arrival_rate: 3.0, mean_work: 8.0, seed: 23 };
-    let list = w.generate(400, m.len());
-
-    let old = online::simulate(&m, &online::FirstFit, &list, 12, 1.5);
-    let mut spread = cochar_cluster::policy::Spread;
-    let new = simulate(&m, &m, &mut spread, &list, &cfg(12, 1.5)).unwrap();
-    assert!((old.makespan - new.makespan).abs() <= 1e-9);
-    assert!((old.mean_stretch - new.mean_stretch).abs() <= 1e-9);
-    assert!((old.node_seconds - new.node_seconds).abs() <= 1e-9);
-
-    let old = online::simulate(&m, &online::InterferenceAware::new(1.5), &list, 12, 1.5);
-    let mut ia = cochar_cluster::policy::InterferenceAware::new(1.5);
-    let new = simulate(&m, &m, &mut ia, &list, &cfg(12, 1.5)).unwrap();
-    assert!((old.makespan - new.makespan).abs() <= 1e-9);
-    assert!((old.mean_stretch - new.mean_stretch).abs() <= 1e-9);
-    assert!((old.node_seconds - new.node_seconds).abs() <= 1e-9);
-    assert!((old.qos_violation_time - new.qos_violation_time).abs() <= 1e-9);
+fn longer_run_agrees_under_both_policies() {
+    let jobs = poisson(23, 400, 3.0);
+    check("n400/first-fit", &jobs, 12);
+    check("n400/interference-aware", &jobs, 12);
 }

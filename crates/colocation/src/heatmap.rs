@@ -73,24 +73,12 @@ impl Heatmap {
 
     /// Runs the full ordered-pair sweep over `names` (625 runs for the
     /// paper's 25 applications), parallelized across host cores.
-    pub fn compute(study: &Study, names: &[&str]) -> Heatmap {
-        Self::compute_with_progress(study, names, |_, _| {})
-    }
-
-    /// Like [`Heatmap::compute`], calling `on_cell(completed, total)` as
-    /// each pair cell finishes. With a store-backed study every completed
-    /// cell is already journaled when its tick fires, so the progress
-    /// line doubles as a durability indicator for resumable sweeps.
     ///
     /// Any cell failure is fatal (after the sweep settles); use
     /// [`Heatmap::compute_supervised`] to keep going past failed cells.
-    pub fn compute_with_progress(
-        study: &Study,
-        names: &[&str],
-        on_cell: impl Fn(usize, usize) + Sync,
-    ) -> Heatmap {
+    pub fn compute(study: &Study, names: &[&str]) -> Heatmap {
         let (map, failures) =
-            Self::compute_supervised(study, names, SweepPolicy::default(), on_cell);
+            Self::compute_supervised(study, names, SweepPolicy::default(), |_, _| {});
         if let Some(f) = failures.first() {
             panic!(
                 "heatmap cell {} failed after {} attempt(s): {}",
@@ -106,6 +94,11 @@ impl Heatmap {
     ///
     /// With `policy.keep_going` unset, the first failure also skips every
     /// cell not yet claimed (those are reported as failures too).
+    ///
+    /// `on_cell(completed, total)` ticks as each pair cell settles. With a
+    /// store-backed study every completed cell is already journaled when
+    /// its tick fires, so the progress line doubles as a durability
+    /// indicator for resumable sweeps.
     pub fn compute_supervised(
         study: &Study,
         names: &[&str],

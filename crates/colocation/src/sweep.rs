@@ -224,39 +224,22 @@ where
 
 /// Maps `f` over `items` using up to `available_parallelism` host threads,
 /// preserving order. Falls back to sequential execution for small inputs.
+///
+/// A panicking item still fails the whole map (callers of this simple
+/// API expect infallible cells), but only after every other cell has
+/// settled — completed cells reach the run store either way.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_progress(items, f, |_, _| {})
-}
-
-/// Like [`parallel_map`], but calls `on_done(completed, total)` after each
-/// item finishes (from the completing worker's thread, completion order).
-///
-/// This is the hook resumable sweeps hang progress reporting on: because
-/// a store-backed study journals every run as it completes, each
-/// `on_done` tick marks durable progress — a killed sweep restarts from
-/// roughly the last tick printed, not from zero.
-///
-/// A panicking item still fails the whole map (callers of this simple
-/// API expect infallible cells), but only after every other cell has
-/// settled — completed cells reach the run store either way.
-pub fn parallel_map_progress<T, R, F, P>(items: &[T], f: F, on_done: P) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    P: Fn(usize, usize) + Sync,
-{
     supervised_map(
         items,
         SweepPolicy::default(),
         |i, _| format!("cell {i}"),
         |item, _attempt| f(item),
-        on_done,
+        |_, _| {},
     )
     .unwrap_all()
 }
@@ -352,38 +335,6 @@ mod tests {
     fn single_item() {
         let out = parallel_map(&[7], |&x| x + 1);
         assert_eq!(out, vec![8]);
-    }
-
-    #[test]
-    fn progress_ticks_once_per_item_and_reaches_total() {
-        use std::sync::atomic::AtomicUsize;
-        let max_seen = AtomicUsize::new(0);
-        let ticks = AtomicUsize::new(0);
-        let items: Vec<u64> = (0..53).collect();
-        let out = parallel_map_progress(
-            &items,
-            |&x| x + 1,
-            |completed, total| {
-                assert_eq!(total, 53);
-                assert!(completed >= 1 && completed <= total);
-                ticks.fetch_add(1, Ordering::Relaxed);
-                max_seen.fetch_max(completed, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(out.len(), 53);
-        assert_eq!(ticks.load(Ordering::Relaxed), 53);
-        assert_eq!(max_seen.load(Ordering::Relaxed), 53);
-    }
-
-    #[test]
-    fn progress_sequential_path_matches() {
-        let ticks = std::sync::atomic::AtomicUsize::new(0);
-        let out = parallel_map_progress(&[9u64], |&x| x, |c, t| {
-            assert_eq!((c, t), (1, 1));
-            ticks.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(out, vec![9]);
-        assert_eq!(ticks.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -488,24 +439,41 @@ mod tests {
 
     #[test]
     fn progress_ticks_count_failures_but_not_skips() {
-        let ticks = AtomicUsize::new(0);
-        let items: Vec<u64> = (0..30).collect();
-        let report = supervised_map(
-            &items,
-            SweepPolicy::default(),
-            |i, _| format!("cell {i}"),
-            |&x, _| {
-                if x % 3 == 0 {
-                    panic!("every third");
+        // (cells, failing cells as every n-th, or none): every settled
+        // cell ticks once, and the running count stays in 1..=total and
+        // reaches the total — threaded, and on the one-cell sequential
+        // path.
+        for (len, every) in [(30u64, Some(3u64)), (53, None), (1, None)] {
+            let ticks = AtomicUsize::new(0);
+            let max_seen = AtomicUsize::new(0);
+            let items: Vec<u64> = (0..len).collect();
+            let report = supervised_map(
+                &items,
+                SweepPolicy::default(),
+                |i, _| format!("cell {i}"),
+                |&x, _| {
+                    if every.is_some_and(|n| x % n == 0) {
+                        panic!("every n-th");
+                    }
+                    x + 1
+                },
+                |completed, total| {
+                    assert_eq!(total, items.len());
+                    assert!(completed >= 1 && completed <= total);
+                    ticks.fetch_add(1, Ordering::Relaxed);
+                    max_seen.fetch_max(completed, Ordering::Relaxed);
+                },
+            );
+            let failing = every.map_or(0, |n| len.div_ceil(n)) as usize;
+            assert_eq!(report.failure_count(), failing, "{len} cells");
+            assert_eq!(ticks.load(Ordering::Relaxed), items.len(), "every settled cell ticks");
+            assert_eq!(max_seen.load(Ordering::Relaxed), items.len());
+            for (r, &x) in report.results.iter().zip(&items) {
+                if let Ok(v) = r {
+                    assert_eq!(*v, x + 1);
                 }
-                x
-            },
-            |_, _| {
-                ticks.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(report.failure_count(), 10);
-        assert_eq!(ticks.load(Ordering::Relaxed), 30, "every settled cell ticks");
+            }
+        }
     }
 
     #[test]

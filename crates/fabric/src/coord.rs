@@ -198,6 +198,8 @@ struct CoordState {
     next_lease: u64,
     ledger: FabricLedger,
     last_activity: Instant,
+    /// Worker connections whose handler is still running.
+    open_conns: usize,
 }
 
 struct Coord {
@@ -697,6 +699,7 @@ pub fn run_campaign(
         next_lease: 1,
         ledger: FabricLedger::default(),
         last_activity: Instant::now(),
+        open_conns: 0,
     };
     let pair_start = Instant::now();
     for (idx, &(i, j)) in cells.iter().enumerate() {
@@ -821,14 +824,21 @@ fn serve(
         // scope so they are joined before serve() returns.
         scope.spawn(|| {
             while let Ok((stream, _)) = listener.accept() {
-                if coord.lock().done {
-                    // Poke connection or a late worker: greet it
-                    // with done semantics via a normal handler —
-                    // it will claim once and be dismissed.
-                    drop(stream);
-                    break;
+                {
+                    let mut st = coord.lock();
+                    if st.done {
+                        // Poke connection or a late worker: greet it
+                        // with done semantics via a normal handler —
+                        // it will claim once and be dismissed.
+                        drop(stream);
+                        break;
+                    }
+                    st.open_conns += 1;
                 }
-                scope.spawn(|| coord.handle_conn(stream, solo_lines, on_cell));
+                scope.spawn(|| {
+                    coord.handle_conn(stream, solo_lines, on_cell);
+                    coord.lock().open_conns -= 1;
+                });
             }
         });
         // Lease-expiry sweeper.
@@ -873,7 +883,9 @@ fn serve(
         }
 
         // Wait for settlement, respawning dead local workers (budget: one
-        // replacement per original slot) and watching for a dead fabric.
+        // replacement per original slot) and watching for a dead fabric:
+        // no activity for `stall_timeout`, or every local worker gone for
+        // good with no connection left that could still settle a cell.
         let respawn_budget = cfg.workers;
         let abort: Option<String> = loop {
             let mut st = coord.lock();
@@ -899,17 +911,28 @@ fn serve(
             // stay in `children`, so `len - workers` is the respawn count
             // and any excess of deaths over respawns means a slot is
             // empty. Top it up one child per tick while budget remains.
-            let dead = children
+            let exits: Vec<String> = children
                 .iter_mut()
-                .filter_map(|c| c.try_wait().ok().flatten())
-                .count();
+                .enumerate()
+                .filter_map(|(i, c)| Some(format!("w{i} {}", c.try_wait().ok()??)))
+                .collect();
             let respawned_so_far = children.len() - cfg.workers;
-            if dead > respawned_so_far
-                && respawned_so_far < respawn_budget
-                && !coord.lock().done
-            {
-                spawn_worker(&mut children, worker_dirs)?;
-                coord.lock().ledger.respawns += 1;
+            if respawned_so_far < respawn_budget {
+                if exits.len() > respawned_so_far && !coord.lock().done {
+                    spawn_worker(&mut children, worker_dirs)?;
+                    coord.lock().ledger.respawns += 1;
+                }
+            } else if !children.is_empty() && exits.len() == children.len() {
+                let mut st = coord.lock();
+                if !st.done && st.open_conns == 0 {
+                    let unsettled = st.total - st.settled;
+                    st.done = true;
+                    break Some(format!(
+                        "fabric failed: {unsettled} cell(s) unsettled, every local worker \
+                         exited ({}) with the respawn budget spent and no worker connected",
+                        exits.join(", ")
+                    ));
+                }
             }
         };
 

@@ -1,8 +1,9 @@
 //! End-to-end fabric tests with in-process workers: the coordinator runs
 //! on the test thread, workers run on plain `std::thread`s that call
-//! [`run_worker`] against the ephemeral listen port. No subprocesses here
-//! (the CLI e2e suite covers process-level death); these tests pin down
-//! the protocol, the retry policy split, and CSV byte-identity.
+//! [`run_worker`] against the ephemeral listen port. The only subprocess
+//! here is `false` standing in for a local worker that dies at once (the
+//! CLI e2e suite covers real worker death); these tests pin down the
+//! protocol, the retry policy split, and CSV byte-identity.
 
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -10,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use cochar_colocation::{Heatmap, SweepPolicy};
 use cochar_fabric::{
-    run_campaign, run_worker, CampaignSpec, FabricConfig, WirePlan, WorkerChaos, WorkerConfig,
-    WorkerSummary,
+    run_campaign, run_worker, CampaignSpec, FabricConfig, WirePlan, WorkerChaos, WorkerCmd,
+    WorkerConfig, WorkerSummary,
 };
 
 const NAMES: [&str; 3] = ["blackscholes", "swaptions", "stream"];
@@ -112,6 +113,27 @@ fn workers_sharing_a_label_get_separate_scratch_stores() {
     });
     assert!(outcome.failures.is_empty(), "failures: {:?}", outcome.failures);
     assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
+}
+
+#[test]
+fn campaign_fails_fast_when_every_local_worker_exits() {
+    // Workers that exit at once: once the respawn budget is spent and no
+    // connection is open, the coordinator must give up with the exits,
+    // not wait out the 300 s stall timeout.
+    let spec = tiny_spec();
+    let study = spec.build_study(None).expect("spec builds");
+    let cfg = FabricConfig {
+        workers: 2,
+        worker_cmd: Some(WorkerCmd { exe: "false".into(), args: vec![] }),
+        ..FabricConfig::default()
+    };
+    let start = Instant::now();
+    let Err(err) = run_campaign(&study, &spec, &cfg, |_, _| {}) else {
+        panic!("no worker can run a cell, yet the campaign succeeded");
+    };
+    assert!(start.elapsed() < Duration::from_secs(30), "took {:?}", start.elapsed());
+    assert!(err.contains("9 cell(s) unsettled"), "{err}");
+    assert!(err.contains("w0 exit status") && err.contains("w3 exit status"), "{err}");
 }
 
 #[test]

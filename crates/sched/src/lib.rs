@@ -15,16 +15,17 @@
 //!
 //! [`simulate::validate`] closes the loop: it re-runs every planned bundle
 //! in the simulator and reports planned vs measured cost.
+//!
+//! These are batch plans over a known job set. Online placement, where
+//! jobs arrive over time, is `cochar-cluster`'s event loop.
 
 #![warn(missing_docs)]
 
 pub mod matrix;
-pub mod online;
 pub mod placement;
 pub mod policies;
 pub mod simulate;
 
 pub use matrix::CostMatrix;
-pub use online::{simulate, FirstFit, InterferenceAware, Job, OnlinePolicy};
 pub use placement::Placement;
 pub use policies::{Greedy, Naive, Optimal, Scheduler, Stable};
