@@ -8,7 +8,7 @@
 //! stamp refresh, and flag updates inside a single host cache line where
 //! the previous parallel-array layout touched four.
 //!
-//! Two hot-path shortcuts, both provably outcome-equivalent to the plain
+//! Three hot-path shortcuts, all provably outcome-equivalent to the plain
 //! scans (tags are unique per set, stamps are unique among valid lines):
 //!
 //! * **MRU-way hint** — `access`/`mark_dirty` probe the last-touched way
@@ -21,9 +21,9 @@
 //!   reuses the recorded slot and skips its set scan entirely, guarded by
 //!   a mutation counter that proves nothing changed in between.
 //!
-//! [`Cache::set_reference`] switches to the original two-scan/no-hint
-//! code so the equivalence suite can pin both paths to byte-identical
-//! run outcomes.
+//! The root package's equivalence suite checks these paths operation by
+//! operation against a plain two-scan, no-hint cache kept on the test
+//! side (`tests/reference`).
 
 use crate::config::CacheConfig;
 
@@ -68,10 +68,10 @@ struct Way {
 
 const EMPTY_WAY: Way = Way { tag: INVALID, meta: 0 };
 
-/// Memo of the most recent miss probe (fast path only): the scan that
-/// proved `line` absent also recorded where an insert of that line would
-/// land. [`Cache::insert`] reuses the plan — skipping its own set scan —
-/// iff `muts` still matches, i.e. provably nothing changed in between.
+/// Memo of the most recent miss probe: the scan that proved `line` absent
+/// also recorded where an insert of that line would land. [`Cache::insert`]
+/// reuses the plan — skipping its own set scan — iff `muts` still matches,
+/// i.e. provably nothing changed in between.
 #[derive(Clone, Copy)]
 struct MissPlan {
     line: u64,
@@ -105,7 +105,6 @@ pub struct Cache {
     /// operation that changes tags, stamps, or flags.
     muts: u64,
     plan: Option<MissPlan>,
-    reference: bool,
 }
 
 impl Cache {
@@ -126,15 +125,7 @@ impl Cache {
             clock: 0,
             muts: 0,
             plan: None,
-            reference: false,
         }
-    }
-
-    /// Selects the reference (pre-optimization) lookup/insert code paths.
-    /// Outcome-equivalent to the default fast paths; exists so the
-    /// equivalence suite can prove that claim run by run.
-    pub fn set_reference(&mut self, reference: bool) {
-        self.reference = reference;
     }
 
     #[inline]
@@ -155,14 +146,6 @@ impl Cache {
     pub fn access(&mut self, line: u64) -> Option<HitInfo> {
         let set = self.set_of(line);
         let base = set * self.ways;
-        if self.reference {
-            for i in base..base + self.ways {
-                if self.arr[i].tag == line {
-                    return Some(self.touch(set, i));
-                }
-            }
-            return None;
-        }
         // MRU fast path: the last-touched way of this set.
         let m = base + self.mru[set] as usize;
         if self.arr[m].tag == line {
@@ -242,14 +225,10 @@ impl Cache {
         self.slot_range(set).any(|i| self.arr[i].tag == line)
     }
 
-    /// Presence probe that, on the fast path, also records a [`MissPlan`]
-    /// on a miss — for call sites where a miss is followed by an `insert`
-    /// of the same line. Returns exactly what [`Cache::contains`] returns
-    /// in both modes.
+    /// Presence probe that also records a [`MissPlan`] on a miss — for
+    /// call sites where a miss is followed by an `insert` of the same
+    /// line. Returns exactly what [`Cache::contains`] returns.
     pub fn probe(&mut self, line: u64) -> bool {
-        if self.reference {
-            return self.contains(line);
-        }
         match self.scan_planning(line) {
             Ok(_) => true,
             Err(plan) => {
@@ -269,9 +248,7 @@ impl Cache {
                 true
             }
             Err(plan) => {
-                if !self.reference {
-                    self.plan = Some(plan);
-                }
+                self.plan = Some(plan);
                 false
             }
         }
@@ -286,12 +263,10 @@ impl Cache {
     pub fn mark_dirty(&mut self, line: u64) {
         let set = self.set_of(line);
         let base = set * self.ways;
-        if !self.reference {
-            let m = base + self.mru[set] as usize;
-            if self.arr[m].tag == line {
-                self.arr[m].meta |= DIRTY_BIT;
-                return;
-            }
+        let m = base + self.mru[set] as usize;
+        if self.arr[m].tag == line {
+            self.arr[m].meta |= DIRTY_BIT;
+            return;
         }
         for i in base..base + self.ways {
             if self.arr[i].tag == line {
@@ -341,9 +316,6 @@ impl Cache {
     }
 
     fn insert_mask(&mut self, line: u64, dirty: bool, prefetched: bool, mask: u32) -> Option<Evicted> {
-        if self.reference {
-            return self.insert_reference(line, dirty, prefetched, mask);
-        }
         let set = self.set_of(line);
         // Plan reuse: an earlier miss probe of this exact line, with no
         // mutation since (`muts` match), already proved absence and chose
@@ -398,53 +370,6 @@ impl Cache {
         }
     }
 
-    /// The original two-scan insert (reference path).
-    fn insert_reference(
-        &mut self,
-        line: u64,
-        dirty: bool,
-        prefetched: bool,
-        mask: u32,
-    ) -> Option<Evicted> {
-        let set = self.set_of(line);
-        self.clock += 1;
-        self.muts += 1;
-        // Already present: refresh.
-        for i in self.slot_range(set) {
-            if self.arr[i].tag == line {
-                self.refresh(i, dirty, prefetched, mask);
-                return None;
-            }
-        }
-        // Free way?
-        let mut victim = set * self.ways;
-        let mut victim_stamp = u64::MAX;
-        for i in self.slot_range(set) {
-            if self.arr[i].tag == INVALID {
-                victim = i;
-                break;
-            }
-            let stamp = self.arr[i].meta & STAMP_MASK;
-            if stamp < victim_stamp {
-                victim_stamp = stamp;
-                victim = i;
-            }
-        }
-        let w = self.arr[victim];
-        let evicted = if w.tag != INVALID {
-            Some(Evicted {
-                line: w.tag,
-                dirty: w.meta & DIRTY_BIT != 0,
-                owners: self.owners[victim],
-            })
-        } else {
-            self.valid += 1;
-            None
-        };
-        self.fill(set, victim, line, dirty, prefetched, mask);
-        evicted
-    }
-
     #[inline]
     fn fill(&mut self, set: usize, slot: usize, line: u64, dirty: bool, prefetched: bool, mask: u32) {
         let mut meta = self.clock;
@@ -481,13 +406,6 @@ impl Cache {
         self.valid
     }
 
-    /// The O(capacity) tag scan `occupancy` replaced; kept as the oracle
-    /// the property test pins the counter against.
-    #[cfg(test)]
-    fn occupancy_scan(&self) -> usize {
-        self.arr.iter().filter(|w| w.tag != INVALID).count()
-    }
-
     /// Total line capacity.
     pub fn capacity(&self) -> usize {
         self.arr.len()
@@ -516,12 +434,6 @@ mod tests {
         Cache::new(&CacheConfig { bytes: 4 * 2 * 64, ways: 2, latency: 1 })
     }
 
-    fn reference() -> Cache {
-        let mut c = small();
-        c.set_reference(true);
-        c
-    }
-
     /// SplitMix64 — deterministic test RNG, no external crates.
     struct Rng(u64);
     impl Rng {
@@ -536,84 +448,77 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        for mut c in [reference(), small()] {
-            assert!(c.access(5).is_none());
-            assert!(c.insert(5, false, false).is_none());
-            assert!(c.access(5).is_some());
-            assert!(c.contains(5));
-        }
+        let mut c = small();
+        assert!(c.access(5).is_none());
+        assert!(c.insert(5, false, false).is_none());
+        assert!(c.access(5).is_some());
+        assert!(c.contains(5));
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        for mut c in [reference(), small()] {
-            // Lines 0, 4, 8 all map to set 0 (4 sets).
-            c.insert(0, false, false);
-            c.insert(4, false, false);
-            c.access(0); // 0 is now MRU; 4 is LRU
-            let ev = c.insert(8, false, false).unwrap();
-            assert_eq!(ev.line, 4);
-            assert!(c.contains(0));
-            assert!(c.contains(8));
-            assert!(!c.contains(4));
-        }
+        let mut c = small();
+        // Lines 0, 4, 8 all map to set 0 (4 sets).
+        c.insert(0, false, false);
+        c.insert(4, false, false);
+        c.access(0); // 0 is now MRU; 4 is LRU
+        let ev = c.insert(8, false, false).unwrap();
+        assert_eq!(ev.line, 4);
+        assert!(c.contains(0));
+        assert!(c.contains(8));
+        assert!(!c.contains(4));
     }
 
     #[test]
     fn dirty_eviction_reports_writeback() {
-        for mut c in [reference(), small()] {
-            c.insert(0, true, false);
-            c.insert(4, false, false);
-            c.insert(8, false, false); // evicts 0 (LRU), which is dirty
-            let ev = c.insert(12, false, false).unwrap();
-            // first insert(8) evicted 0
-            assert!(!c.contains(0));
-            // ev is the eviction of 4 by 12
-            assert_eq!(ev.line, 4);
-            assert!(!ev.dirty);
-        }
+        let mut c = small();
+        c.insert(0, true, false);
+        c.insert(4, false, false);
+        c.insert(8, false, false); // evicts 0 (LRU), which is dirty
+        let ev = c.insert(12, false, false).unwrap();
+        // first insert(8) evicted 0
+        assert!(!c.contains(0));
+        // ev is the eviction of 4 by 12
+        assert_eq!(ev.line, 4);
+        assert!(!ev.dirty);
     }
 
     #[test]
     fn dirty_eviction_flag() {
-        for mut c in [reference(), small()] {
-            c.insert(0, true, false);
-            c.insert(4, false, false);
-            let ev = c.insert(8, false, false).unwrap();
-            assert_eq!(ev, Evicted { line: 0, dirty: true, owners: 0 });
-        }
+        let mut c = small();
+        c.insert(0, true, false);
+        c.insert(4, false, false);
+        let ev = c.insert(8, false, false).unwrap();
+        assert_eq!(ev, Evicted { line: 0, dirty: true, owners: 0 });
     }
 
     #[test]
     fn mark_dirty_then_evict() {
-        for mut c in [reference(), small()] {
-            c.insert(0, false, false);
-            c.mark_dirty(0);
-            c.insert(4, false, false);
-            let ev = c.insert(8, false, false).unwrap();
-            assert_eq!(ev, Evicted { line: 0, dirty: true, owners: 0 });
-        }
+        let mut c = small();
+        c.insert(0, false, false);
+        c.mark_dirty(0);
+        c.insert(4, false, false);
+        let ev = c.insert(8, false, false).unwrap();
+        assert_eq!(ev, Evicted { line: 0, dirty: true, owners: 0 });
     }
 
     #[test]
     fn invalidate_removes_and_reports_dirty() {
-        for mut c in [reference(), small()] {
-            c.insert(3, true, false);
-            assert_eq!(c.invalidate(3), Some(true));
-            assert_eq!(c.invalidate(3), None);
-            assert!(!c.contains(3));
-        }
+        let mut c = small();
+        c.insert(3, true, false);
+        assert_eq!(c.invalidate(3), Some(true));
+        assert_eq!(c.invalidate(3), None);
+        assert!(!c.contains(3));
     }
 
     #[test]
     fn prefetch_bit_cleared_on_first_demand_touch() {
-        for mut c in [reference(), small()] {
-            c.insert(7, false, true);
-            let h1 = c.access(7).unwrap();
-            assert!(h1.was_prefetched);
-            let h2 = c.access(7).unwrap();
-            assert!(!h2.was_prefetched);
-        }
+        let mut c = small();
+        c.insert(7, false, true);
+        let h1 = c.access(7).unwrap();
+        assert!(h1.was_prefetched);
+        let h2 = c.access(7).unwrap();
+        assert!(!h2.was_prefetched);
     }
 
     /// Regression: a demand re-insert of a prefetch-installed line must
@@ -621,164 +526,75 @@ mod tests {
     /// doing, so its next access is not a useful prefetch.
     #[test]
     fn demand_refresh_clears_stale_prefetch_bit() {
-        for mut c in [reference(), small()] {
-            c.insert(7, false, true); // prefetch install
-            c.insert(7, false, false); // demand refresh of the same line
-            let h = c.access(7).unwrap();
-            assert!(!h.was_prefetched, "demand refresh left the prefetch bit stale");
-        }
+        let mut c = small();
+        c.insert(7, false, true); // prefetch install
+        c.insert(7, false, false); // demand refresh of the same line
+        let h = c.access(7).unwrap();
+        assert!(!h.was_prefetched, "demand refresh left the prefetch bit stale");
     }
 
     /// A prefetch refresh of a demand-installed line must not retroactively
     /// claim the line for the prefetcher either.
     #[test]
     fn prefetch_refresh_does_not_claim_demand_line() {
-        for mut c in [reference(), small()] {
-            c.insert(7, false, false); // demand install
-            c.insert(7, false, true); // prefetch touches the same line
-            let h = c.access(7).unwrap();
-            assert!(!h.was_prefetched);
-        }
+        let mut c = small();
+        c.insert(7, false, false); // demand install
+        c.insert(7, false, true); // prefetch touches the same line
+        let h = c.access(7).unwrap();
+        assert!(!h.was_prefetched);
     }
 
     #[test]
     fn reinsert_refreshes_and_merges_dirty() {
-        for mut c in [reference(), small()] {
-            c.insert(0, false, false);
-            c.insert(4, false, false);
-            assert!(c.insert(0, true, false).is_none()); // refresh, now MRU + dirty
-            let ev = c.insert(8, false, false).unwrap();
-            assert_eq!(ev.line, 4); // 4 was LRU after refresh of 0
-            // evicting 0 now reports dirty
-            let ev2 = c.insert(12, false, false).unwrap();
-            assert_eq!(ev2, Evicted { line: 0, dirty: true, owners: 0 });
-        }
+        let mut c = small();
+        c.insert(0, false, false);
+        c.insert(4, false, false);
+        assert!(c.insert(0, true, false).is_none()); // refresh, now MRU + dirty
+        let ev = c.insert(8, false, false).unwrap();
+        assert_eq!(ev.line, 4); // 4 was LRU after refresh of 0
+        // evicting 0 now reports dirty
+        let ev2 = c.insert(12, false, false).unwrap();
+        assert_eq!(ev2, Evicted { line: 0, dirty: true, owners: 0 });
     }
 
     #[test]
     fn occupancy_tracks_valid_lines() {
-        for mut c in [reference(), small()] {
-            assert_eq!(c.occupancy(), 0);
-            assert_eq!(c.capacity(), 8);
-            c.insert(0, false, false);
-            c.insert(1, false, false);
-            assert_eq!(c.occupancy(), 2);
-            c.invalidate(0);
-            assert_eq!(c.occupancy(), 1);
-        }
+        let mut c = small();
+        assert_eq!(c.occupancy(), 0);
+        assert_eq!(c.capacity(), 8);
+        c.insert(0, false, false);
+        c.insert(1, false, false);
+        assert_eq!(c.occupancy(), 2);
+        c.invalidate(0);
+        assert_eq!(c.occupancy(), 1);
+    }
+
+    /// The O(capacity) tag scan `occupancy` replaced: the oracle the
+    /// property below pins the counter against.
+    fn occupancy_scan(c: &Cache) -> usize {
+        c.arr.iter().filter(|w| w.tag != INVALID).count()
     }
 
     /// Property: the O(1) occupancy counter equals the tag scan after
-    /// every operation of a random workload, on both code paths.
+    /// every operation of a random workload.
     #[test]
     fn occupancy_counter_matches_scan_property() {
-        for reference in [true, false] {
-            let mut c = small();
-            c.set_reference(reference);
-            let mut rng = Rng(0xc0c4a7);
-            for _ in 0..4000 {
-                let line = rng.next() % 24; // 4 sets x up to 6 aliases
-                match rng.next() % 4 {
-                    0 => {
-                        c.access(line);
-                    }
-                    1 | 2 => {
-                        c.insert(line, rng.next().is_multiple_of(2), rng.next().is_multiple_of(4));
-                    }
-                    _ => {
-                        c.invalidate(line);
-                    }
+        let mut c = small();
+        let mut rng = Rng(0xc0c4a7);
+        for _ in 0..4000 {
+            let line = rng.next() % 24; // 4 sets x up to 6 aliases
+            match rng.next() % 4 {
+                0 => {
+                    c.access(line);
                 }
-                assert_eq!(c.occupancy(), c.occupancy_scan(), "counter diverged from scan");
-            }
-        }
-    }
-
-    /// Property: the MRU-hint / fused-insert fast paths return exactly
-    /// what the reference scans return, operation by operation.
-    #[test]
-    fn fast_paths_equivalent_to_reference_property() {
-        let mut slow = reference();
-        let mut quick = small();
-        let mut rng = Rng(0x5eed);
-        for step in 0..8000 {
-            let line = rng.next() % 24;
-            match rng.next() % 9 {
-                0 | 1 => {
-                    assert_eq!(slow.access(line), quick.access(line), "step {step}");
-                }
-                2 => {
-                    let d = rng.next().is_multiple_of(2);
-                    let p = rng.next().is_multiple_of(4);
-                    assert_eq!(slow.insert(line, d, p), quick.insert(line, d, p), "step {step}");
-                }
-                3 => {
-                    slow.mark_dirty(line);
-                    quick.mark_dirty(line);
-                }
-                4 => {
-                    assert_eq!(slow.probe(line), quick.probe(line), "step {step}");
-                }
-                5 => {
-                    assert_eq!(slow.invalidate(line), quick.invalidate(line), "step {step}");
-                }
-                6 => {
-                    let c = (rng.next() % 8) as usize;
-                    assert_eq!(slow.access_owned(line, c), quick.access_owned(line, c), "step {step}");
-                }
-                7 => {
-                    let c = (rng.next() % 8) as usize;
-                    let d = rng.next().is_multiple_of(2);
-                    assert_eq!(
-                        slow.insert_owned(line, d, false, c),
-                        quick.insert_owned(line, d, false, c),
-                        "step {step}"
-                    );
+                1 | 2 => {
+                    c.insert(line, rng.next().is_multiple_of(2), rng.next().is_multiple_of(4));
                 }
                 _ => {
-                    let c = (rng.next() % 8) as usize;
-                    assert_eq!(slow.probe_owned(line, c), quick.probe_owned(line, c), "step {step}");
+                    c.invalidate(line);
                 }
             }
-            assert_eq!(slow.contains(line), quick.contains(line), "step {step}");
-            assert_eq!(slow.occupancy(), quick.occupancy(), "step {step}");
-        }
-    }
-
-    /// The miss-plan shortcut (probe miss, then insert of the same line
-    /// skipping its scan) must evict exactly what reference inserts evict,
-    /// with and without intervening mutations that invalidate the plan.
-    #[test]
-    fn planned_insert_matches_reference_insert() {
-        let mut slow = reference();
-        let mut quick = small();
-        let mut rng = Rng(0x9_1a4);
-        for step in 0..6000 {
-            let line = rng.next() % 24;
-            assert_eq!(slow.probe(line), quick.probe(line), "step {step}");
-            // Half the time, mutate between probe and insert so the plan
-            // goes stale and the fallback scan must take over.
-            if rng.next().is_multiple_of(2) {
-                let other = rng.next() % 24;
-                match rng.next() % 3 {
-                    0 => {
-                        assert_eq!(slow.access(other), quick.access(other), "step {step}");
-                    }
-                    1 => {
-                        assert_eq!(
-                            slow.insert(other, false, false),
-                            quick.insert(other, false, false),
-                            "step {step}"
-                        );
-                    }
-                    _ => {
-                        assert_eq!(slow.invalidate(other), quick.invalidate(other), "step {step}");
-                    }
-                }
-            }
-            let d = rng.next().is_multiple_of(2);
-            assert_eq!(slow.insert(line, d, false), quick.insert(line, d, false), "step {step}");
-            assert_eq!(slow.occupancy(), quick.occupancy(), "step {step}");
+            assert_eq!(c.occupancy(), occupancy_scan(&c), "counter diverged from scan");
         }
     }
 
@@ -786,21 +602,20 @@ mod tests {
     /// eviction that removes the line, and resets on reinstall.
     #[test]
     fn owner_mask_accumulates_and_resets_per_residency() {
-        for mut c in [reference(), small()] {
-            assert!(c.insert_owned(0, false, false, 1).is_none());
-            assert!(c.access_owned(0, 3).is_some());
-            assert!(c.probe_owned(0, 0));
-            c.insert(4, false, false); // unowned sibling in the same set
-            let ev = c.insert(8, false, false).unwrap(); // evicts LRU = 0
-            assert_eq!(ev.line, 0);
-            assert_eq!(ev.owners, owner_bit(1) | owner_bit(3) | owner_bit(0));
-            // Reinstall under a different core: the old mask must not leak.
-            c.insert_owned(0, false, false, 2); // evicts 4 (owners 0)
-            c.insert(4, false, false);
-            let ev2 = c.insert(12, false, false).unwrap();
-            assert_eq!(ev2.line, 0);
-            assert_eq!(ev2.owners, owner_bit(2));
-        }
+        let mut c = small();
+        assert!(c.insert_owned(0, false, false, 1).is_none());
+        assert!(c.access_owned(0, 3).is_some());
+        assert!(c.probe_owned(0, 0));
+        c.insert(4, false, false); // unowned sibling in the same set
+        let ev = c.insert(8, false, false).unwrap(); // evicts LRU = 0
+        assert_eq!(ev.line, 0);
+        assert_eq!(ev.owners, owner_bit(1) | owner_bit(3) | owner_bit(0));
+        // Reinstall under a different core: the old mask must not leak.
+        c.insert_owned(0, false, false, 2); // evicts 4 (owners 0)
+        c.insert(4, false, false);
+        let ev2 = c.insert(12, false, false).unwrap();
+        assert_eq!(ev2.line, 0);
+        assert_eq!(ev2.owners, owner_bit(2));
     }
 
     /// Cores at or beyond the mask width saturate into the top bit —
@@ -814,14 +629,13 @@ mod tests {
 
     #[test]
     fn different_sets_do_not_conflict() {
-        for mut c in [reference(), small()] {
-            // 4 sets: lines 0..4 land in distinct sets.
-            for l in 0..4 {
-                assert!(c.insert(l, false, false).is_none());
-            }
-            for l in 0..4 {
-                assert!(c.contains(l));
-            }
+        let mut c = small();
+        // 4 sets: lines 0..4 land in distinct sets.
+        for l in 0..4 {
+            assert!(c.insert(l, false, false).is_none());
+        }
+        for l in 0..4 {
+            assert!(c.contains(l));
         }
     }
 }
