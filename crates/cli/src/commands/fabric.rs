@@ -18,16 +18,13 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use cochar_colocation::report::heat::ascii_heatmap;
-use cochar_colocation::SweepPolicy;
 use cochar_fabric::{
     run_campaign, run_worker, CampaignSpec, FabricConfig, FabricOutcome, WirePlan,
     WorkerChaos, WorkerCmd, WorkerConfig,
 };
 use cochar_colocation::Study;
 
-use crate::commands::heatmap::{failure_report_path, write_failure_report};
-use crate::commands::maybe_write_csv;
+use crate::commands::heatmap::{print_sweep, progress, sweep_policy};
 use crate::opts::Opts;
 
 /// Dispatches `sweep` and the `fabric` subcommands.
@@ -67,9 +64,7 @@ fn coordinate(opts: &Opts, workers: usize, bind: &str) -> Result<ExitCode, Strin
     if names.len() < 2 {
         return Err("need at least two applications".into());
     }
-    if opts.switch("keep-going") && opts.switch("fail-fast") {
-        return Err("--keep-going and --fail-fast are mutually exclusive".into());
-    }
+    let policy = sweep_policy(opts)?;
     let study = crate::build_study(opts, 1.0)?;
     let spec = CampaignSpec {
         machine: opts.flag("machine").unwrap_or("bench").to_string(),
@@ -90,12 +85,8 @@ fn coordinate(opts: &Opts, workers: usize, bind: &str) -> Result<ExitCode, Strin
     let cfg = FabricConfig {
         workers,
         bind: bind.to_string(),
-        lease_cells: opts.flag_parse("lease-cells", 1usize)?,
         lease_timeout: Duration::from_millis(opts.flag_parse("lease-timeout-ms", 30_000u64)?),
-        policy: SweepPolicy {
-            max_retries: opts.flag_parse("max-retries", 0u32)?,
-            keep_going: !opts.switch("fail-fast"),
-        },
+        policy,
         worker_cmd: Some(WorkerCmd {
             exe,
             args: vec!["fabric".into(), "work".into()],
@@ -113,13 +104,7 @@ fn coordinate(opts: &Opts, workers: usize, bind: &str) -> Result<ExitCode, Strin
         }
     });
 
-    let total = spec.names.len() * spec.names.len();
-    let step = (total / 10).max(1);
-    let outcome = run_campaign(&study, &spec, &cfg, |completed, total| {
-        if completed % step == 0 || completed == total {
-            eprintln!("sweep: {completed}/{total} cells");
-        }
-    });
+    let outcome = run_campaign(&study, &spec, &cfg, progress("sweep", spec.names.len()));
     // A fully-cached campaign never binds a listener: drop our half of
     // the on_bound channel so the announce thread sees the end either way.
     drop(cfg);
@@ -135,26 +120,7 @@ fn report(
     spec: &CampaignSpec,
     outcome: &FabricOutcome,
 ) -> Result<ExitCode, String> {
-    let heat = &outcome.heatmap;
-    println!("{}", ascii_heatmap(heat));
-    let (h, vo, bv) = heat.class_counts();
-    println!("Harmony {h}, Victim-Offender {vo}, Both-Victim {bv} (unordered pairs)");
-    let (truncated, stalled, failed) = heat.status_counts();
-    println!("sweep: truncated {truncated} cells, stalled {stalled} cells, failed {failed} cells");
-    if !outcome.failures.is_empty() {
-        let path = failure_report_path(study);
-        write_failure_report(&path, &outcome.failures)?;
-        eprintln!(
-            "sweep: {} cell failure(s) recorded in {}",
-            outcome.failures.len(),
-            path.display()
-        );
-        for f in &outcome.failures {
-            eprintln!("  {} after {} attempt(s): {}", f.spec, f.attempts, f.cause);
-        }
-    }
-    maybe_write_csv(opts, &heat.to_csv())?;
-
+    print_sweep(opts, study, &outcome.heatmap, &outcome.failures)?;
     let l = &outcome.ledger;
     let cells = spec.names.len() * spec.names.len();
     let pair_secs = outcome.pair_wall.as_secs_f64();
@@ -185,16 +151,7 @@ fn report(
     if let Some(store) = study.store() {
         println!("store: {} resident in {}", store.len(), store.dir().display());
     }
-
-    if outcome.store_degraded {
-        eprintln!("exit: run store degraded mid-sweep (code 3)");
-        Ok(ExitCode::from(3))
-    } else if !outcome.failures.is_empty() {
-        eprintln!("exit: {} cell(s) failed (code 2)", outcome.failures.len());
-        Ok(ExitCode::from(2))
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
+    Ok(crate::exit_code(outcome.store_degraded, outcome.failures.len()))
 }
 
 /// The worker half: connect, work until dismissed, report to stderr.
@@ -242,8 +199,9 @@ fn work(opts: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Same grammar as the coordinator's `COCHAR_CHAOS_CELL`: `fg/bg[@N]`.
-fn parse_chaos_cell(spec: &str) -> Result<(String, String, u32), String> {
+/// Parses the `COCHAR_CHAOS_CELL` grammar, `fg/bg[@N]`, shared by
+/// `heatmap`, the coordinator and its workers.
+pub(crate) fn parse_chaos_cell(spec: &str) -> Result<(String, String, u32), String> {
     let (pair, succeed_from) = match spec.split_once('@') {
         Some((pair, n)) => {
             let n: u32 = n

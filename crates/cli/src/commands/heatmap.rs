@@ -25,54 +25,66 @@ pub fn run(study: &Study, opts: &Opts) -> Result<usize, String> {
             return Err(format!("unknown application {n:?}; try `cochar list`"));
         }
     }
+    let policy = sweep_policy(opts)?;
+    let (heat, failures) =
+        Heatmap::compute_supervised(study, &names, policy, progress("heatmap", names.len()));
+    print_sweep(opts, study, &heat, &failures)?;
+    Ok(failures.len())
+}
+
+/// The supervisor policy from `--max-retries` and `--keep-going` /
+/// `--fail-fast`, for both executors. Keep-going is the default: a
+/// 625-cell sweep should not forfeit 624 results to one bad cell.
+pub(crate) fn sweep_policy(opts: &Opts) -> Result<SweepPolicy, String> {
     if opts.switch("keep-going") && opts.switch("fail-fast") {
         return Err("--keep-going and --fail-fast are mutually exclusive".into());
     }
-    let policy = SweepPolicy {
-        max_retries: opts.flag_parse("max-retries", 0u32)?,
-        // Keep-going is the default: a 625-cell sweep should not forfeit
-        // 624 results to one bad cell.
-        keep_going: !opts.switch("fail-fast"),
-    };
-    // Progress goes to stderr (stdout stays clean for the matrix); each
-    // tick is durable progress when a --store backs the study.
-    let step = (names.len() * names.len() / 10).max(1);
-    let (heat, failures) =
-        Heatmap::compute_supervised(study, &names, policy, |completed, total| {
-            if completed % step == 0 || completed == total {
-                eprintln!("heatmap: {completed}/{total} cells");
-            }
-        });
-    println!("{}", ascii_heatmap(&heat));
+    let max_retries = opts.flag_parse("max-retries", 0u32)?;
+    Ok(SweepPolicy { max_retries, keep_going: !opts.switch("fail-fast") })
+}
+
+/// Progress on stderr (stdout stays clean for the matrix), every tenth
+/// of an `apps`² campaign; with a --store each tick is durable progress.
+pub(crate) fn progress(tag: &'static str, apps: usize) -> impl Fn(usize, usize) + Sync {
+    let step = (apps * apps / 10).max(1);
+    move |completed, total| {
+        if completed % step == 0 || completed == total {
+            eprintln!("{tag}: {completed}/{total} cells");
+        }
+    }
+}
+
+/// The heatmap block both `heatmap` and `sweep` print, from the ASCII map
+/// to `failures.jsonl` and the `--csv` file.
+pub(crate) fn print_sweep(
+    opts: &Opts,
+    study: &Study,
+    heat: &Heatmap,
+    failures: &[CellFailure],
+) -> Result<(), String> {
+    println!("{}", ascii_heatmap(heat));
     let (h, vo, bv) = heat.class_counts();
     println!("Harmony {h}, Victim-Offender {vo}, Both-Victim {bv} (unordered pairs)");
     let (truncated, stalled, failed) = heat.status_counts();
     println!("sweep: truncated {truncated} cells, stalled {stalled} cells, failed {failed} cells");
     if !failures.is_empty() {
-        let path = failure_report_path(study);
-        write_failure_report(&path, &failures)?;
+        // Failures land next to the journal when a store is configured
+        // (they describe what that store is missing), else in the
+        // working directory.
+        let path = match study.store() {
+            Some(store) => store.dir().join("failures.jsonl"),
+            None => PathBuf::from("failures.jsonl"),
+        };
+        write_failure_report(&path, failures)?;
         eprintln!("sweep: {} cell failure(s) recorded in {}", failures.len(), path.display());
-        for f in &failures {
+        for f in failures {
             eprintln!("  {} after {} attempt(s): {}", f.spec, f.attempts, f.cause);
         }
     }
-    maybe_write_csv(opts, &heat.to_csv())?;
-    Ok(failures.len())
+    maybe_write_csv(opts, &heat.to_csv())
 }
 
-/// Failures land next to the journal when a store is configured (they
-/// describe what that store is missing), else in the working directory.
-pub(crate) fn failure_report_path(study: &Study) -> PathBuf {
-    match study.store() {
-        Some(store) => store.dir().join("failures.jsonl"),
-        None => PathBuf::from("failures.jsonl"),
-    }
-}
-
-pub(crate) fn write_failure_report(
-    path: &PathBuf,
-    failures: &[CellFailure],
-) -> Result<(), String> {
+fn write_failure_report(path: &PathBuf, failures: &[CellFailure]) -> Result<(), String> {
     let mut text = String::new();
     for f in failures {
         let record = Json::Obj(vec![

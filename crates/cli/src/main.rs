@@ -54,7 +54,7 @@ commands:
   heatmap <apps...>            pairwise matrix + classification [--csv FILE]
   sweep <apps...>              heatmap sharded over N worker processes
                                [--workers N (default: host CPUs)]
-                               [--lease-cells K] [--lease-timeout-ms T]
+                               [--lease-timeout-ms T]
                                (CSV is byte-identical to `heatmap`)
   fabric serve <apps...>       coordinator only [--bind HOST:PORT] [--workers N]
   fabric work --connect ADDR   worker only [--worker-store DIR] [--label L]
@@ -178,19 +178,22 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             );
         }
     }
-    result.map(|()| {
-        // Degradation wins: an unpersisted sweep is the bigger surprise
-        // for whoever plans to resume it.
-        if study.store_degraded() {
-            eprintln!("exit: run store degraded mid-sweep (code 3)");
-            ExitCode::from(3)
-        } else if failed_cells > 0 {
-            eprintln!("exit: {failed_cells} cell(s) failed (code 2)");
-            ExitCode::from(2)
-        } else {
-            ExitCode::SUCCESS
-        }
-    })
+    result.map(|()| exit_code(study.store_degraded(), failed_cells))
+}
+
+/// Maps a finished command to its exit code, announcing codes 2 and 3 on
+/// stderr. Degradation wins: an unpersisted sweep is the bigger surprise
+/// for whoever plans to resume it.
+pub(crate) fn exit_code(store_degraded: bool, failed_cells: usize) -> ExitCode {
+    if store_degraded {
+        eprintln!("exit: run store degraded mid-sweep (code 3)");
+        ExitCode::from(3)
+    } else if failed_cells > 0 {
+        eprintln!("exit: {failed_cells} cell(s) failed (code 2)");
+        ExitCode::from(2)
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Builds the study from the global flags. `default_work` is the work
@@ -237,21 +240,10 @@ pub(crate) fn build_study(opts: &Opts, default_work: f64) -> Result<Study, Strin
     Ok(study)
 }
 
-/// Parses `COCHAR_CHAOS_CELL="fg/bg[@N]"`: the named pair cell panics on
+/// Arms `COCHAR_CHAOS_CELL="fg/bg[@N]"`: the named pair cell panics on
 /// attempts below `N` (omitted `N` means the cell always panics).
 fn arm_chaos_cell(study: Study, spec: &str) -> Result<Study, String> {
-    let (pair, succeed_from) = match spec.split_once('@') {
-        Some((pair, n)) => {
-            let n: u32 = n
-                .parse()
-                .map_err(|_| format!("COCHAR_CHAOS_CELL: bad attempt threshold {n:?}"))?;
-            (pair, n)
-        }
-        None => (spec, u32::MAX),
-    };
-    let (fg, bg) = pair
-        .split_once('/')
-        .ok_or_else(|| format!("COCHAR_CHAOS_CELL: expected fg/bg[@N], got {spec:?}"))?;
+    let (fg, bg, succeed_from) = commands::fabric::parse_chaos_cell(spec)?;
     eprintln!("chaos: cell {fg}/{bg} armed (succeeds from attempt {succeed_from})");
-    Ok(study.with_chaos_cell(fg, bg, succeed_from))
+    Ok(study.with_chaos_cell(&fg, &bg, succeed_from))
 }

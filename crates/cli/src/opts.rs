@@ -16,13 +16,13 @@ pub struct Opts {
 }
 
 /// Flags that take a value (everything else is a boolean switch).
-const VALUED: [&str; 41] = [
+const VALUED: [&str; 40] = [
     "machine", "work", "threads", "trials", "seed", "csv", "policy", "pads", "max-threads",
     "train-frac", "train-apps", "lambda", "json", "store", "max-retries",
     // bench flags
     "pin", "tolerance", "reps",
     // fabric flags
-    "workers", "bind", "connect", "lease-cells", "lease-timeout-ms", "worker-store",
+    "workers", "bind", "connect", "lease-timeout-ms", "worker-store",
     "label", "pin-cpu", "connect-retry-ms", "max-reconnects",
     // cluster scenario flags
     "nodes", "slots", "jobs", "rate", "util", "qos", "slo", "compose", "knowledge",

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::classify::{classify, PairClass};
 use crate::study::Study;
-use crate::sweep::{supervised_map, CellFailure, SweepPolicy};
+use crate::sweep::{supervised_map, CellFailure, SweepPolicy, SweepReport};
 
 /// Measurement quality of one heatmap cell.
 ///
@@ -55,8 +55,8 @@ impl Heatmap {
         (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect()
     }
 
-    /// Assembles a heatmap from individually settled cells (the fabric's
-    /// merge path). Cells never supplied stay NaN/`Failed`.
+    /// Assembles a heatmap from individually settled cells. Cells never
+    /// supplied stay NaN/`Failed`.
     pub fn from_cells(
         names: Vec<String>,
         cells: impl IntoIterator<Item = (usize, usize, f64, CellStatus)>,
@@ -69,6 +69,46 @@ impl Heatmap {
             status[i][j] = st;
         }
         Heatmap { names, norm, status }
+    }
+
+    /// Assembles a heatmap from a sweep over [`Heatmap::pair_cells`]:
+    /// failed cells become NaN holes, and their failures come back in
+    /// cell order. Both campaign executors finish here.
+    pub fn from_report(
+        names: Vec<String>,
+        report: SweepReport<(f64, CellStatus)>,
+    ) -> (Heatmap, Vec<CellFailure>) {
+        let n = names.len();
+        let mut cells = Vec::with_capacity(report.results.len());
+        let mut failures = Vec::new();
+        for (k, res) in report.results.into_iter().enumerate() {
+            match res {
+                Ok((v, st)) => cells.push((k / n, k % n, v, st)),
+                Err(f) => failures.push(f),
+            }
+        }
+        (Heatmap::from_cells(names, cells), failures)
+    }
+
+    /// The label of pair cell `index` (`"fg/bg"`), as failure records
+    /// name it.
+    pub fn cell_label(names: &[impl AsRef<str>], index: usize) -> String {
+        let n = names.len();
+        format!("{}/{}", names[index / n].as_ref(), names[index % n].as_ref())
+    }
+
+    /// Measures one cell: `fg` under `bg` as retry `attempt`, with the
+    /// measurement's quality.
+    pub fn measure_cell(study: &Study, fg: &str, bg: &str, attempt: u32) -> (f64, CellStatus) {
+        let pair = study.pair_attempt(fg, bg, attempt);
+        let status = if pair.stalled {
+            CellStatus::Stalled
+        } else if pair.truncated {
+            CellStatus::Truncated
+        } else {
+            CellStatus::Ok
+        };
+        (pair.fg_slowdown, status)
     }
 
     /// Runs the full ordered-pair sweep over `names` (625 runs for the
@@ -105,52 +145,15 @@ impl Heatmap {
         policy: SweepPolicy,
         on_cell: impl Fn(usize, usize) + Sync,
     ) -> (Heatmap, Vec<CellFailure>) {
-        // Warm the solo cache sequentially (each entry is needed by a
-        // whole row and the cache lock serializes misses anyway). A solo
-        // that panics is caught and ignored here: the pair cells that
-        // need it will fail individually and be reported with their own
-        // cell labels.
-        for n in names {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| study.solo(n)));
-        }
-        let pairs = Self::pair_cells(names.len());
+        study.preseed_solos(names);
         let report = supervised_map(
-            &pairs,
+            &Self::pair_cells(names.len()),
             policy,
-            |_, &(i, j)| format!("{}/{}", names[i], names[j]),
-            |&(i, j), attempt| {
-                let pair = study.pair_attempt(names[i], names[j], attempt);
-                let status = if pair.stalled {
-                    CellStatus::Stalled
-                } else if pair.truncated {
-                    CellStatus::Truncated
-                } else {
-                    CellStatus::Ok
-                };
-                (pair.fg_slowdown, status)
-            },
+            |k, _| Self::cell_label(names, k),
+            |&(i, j), attempt| Self::measure_cell(study, names[i], names[j], attempt),
             on_cell,
         );
-        let n = names.len();
-        let mut norm = vec![vec![0.0; n]; n];
-        let mut status = vec![vec![CellStatus::Ok; n]; n];
-        let mut failures = Vec::new();
-        for (k, &(i, j)) in pairs.iter().enumerate() {
-            match &report.results[k] {
-                Ok((v, st)) => {
-                    norm[i][j] = *v;
-                    status[i][j] = *st;
-                }
-                Err(f) => {
-                    norm[i][j] = f64::NAN;
-                    status[i][j] = CellStatus::Failed;
-                    failures.push(f.clone());
-                }
-            }
-        }
-        let map =
-            Heatmap { names: names.iter().map(|s| s.to_string()).collect(), norm, status };
-        (map, failures)
+        Self::from_report(names.iter().map(|s| s.to_string()).collect(), report)
     }
 
     /// Number of applications.

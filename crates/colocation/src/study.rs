@@ -438,6 +438,17 @@ impl Study {
         self.solo_with_threads(name, self.threads)
     }
 
+    /// Warms the solo cache for a campaign over `names`, in order (every
+    /// pair cell divides by its foreground's solo). A solo that panics is
+    /// ignored: the pair cells that need it fail under their own labels.
+    pub fn preseed_solos(&self, names: &[impl AsRef<str>]) {
+        for name in names {
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.solo(name.as_ref())
+            }));
+        }
+    }
+
     /// Runs `name` alone with an explicit thread count (cached).
     pub fn solo_with_threads(&self, name: &str, threads: usize) -> Arc<SoloResult> {
         let key = (name.to_string(), threads, self.msr.raw());

@@ -1,27 +1,26 @@
 //! Parallel sweep driver for independent simulations.
 //!
 //! Every cell of the 25 x 25 heatmap (and every point of the scalability
-//! and sensitivity sweeps) is an independent simulation, so sweeps
-//! parallelize across host cores with a simple work-stealing index queue.
+//! and sensitivity sweeps) is an independent simulation. The campaign
+//! rules live in one type, the [`Supervisor`]: the cell queue, the
+//! [`SweepPolicy`] retry budget (with the attempt number threaded into
+//! the cell function for deterministic reseeding), the final
+//! [`CellFailure`], the fail-fast skip of unclaimed cells, and the
+//! settle-once check. Two executors drive it: [`supervised_map`], a pool
+//! of host threads that runs each cell under `catch_unwind` — so one
+//! panicking simulation cannot take down the other 624 cells of a
+//! heatmap — and the distributed fabric's coordinator. Failures come back
+//! as data, leaving callers to decide between holes in the output
+//! (`--keep-going`) and stopping the sweep (`--fail-fast`).
 //!
-//! The driver is a *supervisor*, not just a thread pool: each cell runs
-//! under `catch_unwind`, so one panicking simulation cannot take down the
-//! other 624 cells of a heatmap (or poison the result slots — every lock
-//! here is poison-tolerant). Failed cells are retried up to a policy
-//! bound with the attempt number threaded into the cell function for
-//! deterministic reseeding, and whatever still fails is returned as a
-//! typed [`CellFailure`] instead of an unwind, leaving callers to decide
-//! between holes-in-the-output (`--keep-going`) and stopping the sweep
-//! (`--fail-fast`).
-//!
-//! Workers pin themselves round-robin onto the host CPUs the process is
-//! allowed to run on (see [`affinity`]): sweep cells are themselves
+//! Executors pin slot `i` to the `i`-th CPU the process is allowed to
+//! run on, round-robin ([`pin_slot`]): sweep cells are themselves
 //! timing-sensitive simulations, and keeping each worker on one core
 //! avoids migration-induced wall-clock noise in the measured cells. Set
 //! `COCHAR_NO_PIN` to leave scheduling to the OS.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One cell that exhausted its attempts (or was skipped by fail-fast).
@@ -95,7 +94,7 @@ impl<R> SweepReport<R> {
 }
 
 /// Renders an unwind payload; panics almost always carry a message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -105,18 +104,199 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Locks ignoring poison: slots hold plain data, and the panic that
-/// poisoned a lock has already been converted to a [`CellFailure`].
+/// One unit of work handed out by a [`Supervisor`]: run cell `index` as
+/// retry `attempt`, on its `issue`-th delivery (re-deliveries follow a
+/// lost executor, e.g. a fabric lease that expired).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ticket {
+    /// Position of the cell in the campaign.
+    pub index: usize,
+    /// Retry number; the cell function reseeds from it.
+    pub attempt: u32,
+    /// Times this attempt was handed out before, without a report.
+    pub issue: u32,
+}
+
+/// What a report did to its cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reported {
+    /// The cell settled (a value or its final failure): the progress
+    /// count of cells settled so far.
+    Settled(usize),
+    /// Queued again, as `attempt + 1` after a failure or `issue + 1`
+    /// after a loss.
+    Requeued,
+    /// A lost ticket's cell was skipped under fail-fast (not progress).
+    Skipped,
+    /// The cell had already settled, or the ticket was superseded.
+    Dismissed,
+}
+
+#[derive(Debug)]
+enum Slot<R> {
+    /// Unsettled; holds the cell's newest ticket.
+    Open(Ticket),
+    Done(R),
+    Failed { cause: String, attempts: u32 },
+}
+
+/// The campaign rules, shared by every executor: which cell runs next,
+/// what a failure or a lost ticket does to it, and when it has settled.
+///
+/// Each cell settles exactly once. A cell is handed out as at most
+/// `max_retries + 1` attempts, and each attempt at most `max_issues + 1`
+/// times (issues `0..=max_issues`). Failures and losses are honoured
+/// only for the cell's newest ticket, so a late report from a superseded
+/// ticket never queues a second copy of a cell; a late *value* still
+/// settles an open cell, since every attempt is deterministic.
+#[derive(Debug)]
+pub struct Supervisor<R> {
+    policy: SweepPolicy,
+    queue: VecDeque<Ticket>,
+    slots: Vec<Slot<R>>,
+    /// Cells settled by a value or a final failure (progress).
+    completed: usize,
+    /// Cells skipped by fail-fast.
+    skipped: usize,
+    /// Fail-fast fired: the queue was drained, and nothing is requeued.
+    stopped: bool,
+}
+
+impl<R> Supervisor<R> {
+    /// A campaign of `total` cells, all queued at attempt 0, in order.
+    pub fn new(total: usize, policy: SweepPolicy) -> Self {
+        let queue: VecDeque<Ticket> =
+            (0..total).map(|index| Ticket { index, attempt: 0, issue: 0 }).collect();
+        let slots = queue.iter().map(|&t| Slot::Open(t)).collect();
+        Supervisor { policy, queue, slots, completed: 0, skipped: 0, stopped: false }
+    }
+
+    /// The next ticket to run, if any. `None` once the queue is empty
+    /// (other tickets may still be out), which fail-fast makes it for
+    /// good. Cells settled while queued are passed over.
+    pub fn take(&mut self) -> Option<Ticket> {
+        while let Some(t) = self.queue.pop_front() {
+            if matches!(self.slots[t.index], Slot::Open(_)) {
+                return Some(t);
+            }
+        }
+        None
+    }
+
+    /// Cells not yet settled; the campaign is over at 0.
+    pub fn unsettled(&self) -> usize {
+        self.slots.len() - self.completed - self.skipped
+    }
+
+    /// Cell `index` computed `value` (from any of its tickets).
+    pub fn succeed(&mut self, index: usize, value: R) -> Reported {
+        if !matches!(self.slots[index], Slot::Open(_)) {
+            return Reported::Dismissed;
+        }
+        self.slots[index] = Slot::Done(value);
+        self.completed += 1;
+        Reported::Settled(self.completed)
+    }
+
+    /// Ticket `t` failed with `cause`: retried while the policy allows
+    /// (and fail-fast has not fired), else the cell's final failure.
+    pub fn fail(&mut self, t: Ticket, cause: String) -> Reported {
+        if !self.is_current(t) {
+            return Reported::Dismissed;
+        }
+        if t.attempt < self.policy.max_retries && !self.stopped {
+            self.requeue(Ticket { attempt: t.attempt + 1, ..t })
+        } else {
+            self.settle_failure(t.index, cause, t.attempt + 1)
+        }
+    }
+
+    /// Ticket `t` was handed out but its executor vanished without a
+    /// report: it goes out again as `issue + 1`, unless that would exceed
+    /// `max_issues`, in which case the cell fails with a delivery error.
+    pub fn lose(&mut self, t: Ticket, max_issues: u32) -> Reported {
+        if !self.is_current(t) {
+            return Reported::Dismissed;
+        }
+        let issue = t.issue + 1;
+        if issue > max_issues {
+            let cause = format!("lease lost {issue} times without a result (workers dying?)");
+            self.settle_failure(t.index, cause, t.attempt)
+        } else if self.stopped {
+            self.skip(t.index);
+            Reported::Skipped
+        } else {
+            self.requeue(Ticket { issue, ..t })
+        }
+    }
+
+    /// The per-cell results in cell order; `label(index)` names failed
+    /// cells.
+    pub fn into_report(self, label: impl Fn(usize) -> String) -> SweepReport<R> {
+        let results = self
+            .slots
+            .into_iter()
+            .enumerate()
+            .map(|(index, slot)| {
+                let (cause, attempts) = match slot {
+                    Slot::Done(v) => return Ok(v),
+                    Slot::Failed { cause, attempts } => (cause, attempts),
+                    Slot::Open(_) => ("never settled".to_string(), 0),
+                };
+                Err(CellFailure { index, spec: label(index), cause, attempts })
+            })
+            .collect();
+        SweepReport { results }
+    }
+
+    fn is_current(&self, t: Ticket) -> bool {
+        matches!(self.slots[t.index], Slot::Open(current) if current == t)
+    }
+
+    fn requeue(&mut self, t: Ticket) -> Reported {
+        self.slots[t.index] = Slot::Open(t);
+        self.queue.push_back(t);
+        Reported::Requeued
+    }
+
+    fn skip(&mut self, index: usize) {
+        self.slots[index] =
+            Slot::Failed { cause: "skipped (fail-fast)".to_string(), attempts: 0 };
+        self.skipped += 1;
+    }
+
+    /// Records a final failure; under fail-fast, stops the campaign and
+    /// skips every queued cell.
+    fn settle_failure(&mut self, index: usize, cause: String, attempts: u32) -> Reported {
+        self.slots[index] = Slot::Failed { cause, attempts };
+        self.completed += 1;
+        if !self.policy.keep_going {
+            self.stopped = true;
+            while let Some(t) = self.queue.pop_front() {
+                if matches!(self.slots[t.index], Slot::Open(_)) {
+                    self.skip(t.index);
+                }
+            }
+        }
+        Reported::Settled(self.completed)
+    }
+}
+
+/// Locks ignoring poison: the supervisor is updated in single calls that
+/// leave it valid, and a panic inside a cell is caught before it could
+/// poison anything.
 fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Maps `f` over `items` under panic isolation with retries.
+/// Maps `f` over `items` under panic isolation with retries, on a pool
+/// of up to `available_parallelism` pinned threads driving one
+/// [`Supervisor`].
 ///
 /// `spec_label(i, item)` names cell `i` for failure records;
 /// `f(item, attempt)` runs one attempt (attempt 0 first); `on_done`
 /// ticks after every *settled* cell — success or final failure, but not
-/// fail-fast skips, so progress counts real work.
+/// fail-fast skips, so progress counts real work. Ticks arrive in order.
 pub fn supervised_map<T, R, L, F, P>(
     items: &[T],
     policy: SweepPolicy,
@@ -132,98 +312,42 @@ where
     P: Fn(usize, usize) + Sync,
 {
     let total = items.len();
-    let done = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let run_cell = |i: usize, item: &T| -> Result<R, CellFailure> {
-        let mut cause = String::new();
-        let mut attempts = 0;
-        for attempt in 0..=policy.max_retries {
-            attempts = attempt + 1;
-            match catch_unwind(AssertUnwindSafe(|| f(item, attempt))) {
-                Ok(r) => return Ok(r),
-                Err(payload) => cause = panic_message(payload),
-            }
-        }
-        Err(CellFailure { index: i, spec: spec_label(i, item), cause, attempts })
-    };
-    let settle = |res: &Result<R, CellFailure>| {
-        if res.is_err() && !policy.keep_going {
-            stop.store(true, Ordering::Relaxed);
-        }
-        on_done(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-    };
-    let skipped = |i: usize, item: &T| CellFailure {
-        index: i,
-        spec: spec_label(i, item),
-        cause: "skipped (fail-fast)".to_string(),
-        attempts: 0,
-    };
-
-    let workers = std::thread::available_parallelism()
+    let sup = Mutex::new(Supervisor::new(total, policy));
+    let threads = std::thread::available_parallelism()
         .map(|x| x.get())
         .unwrap_or(1)
         .min(total.max(1));
-    if workers <= 1 || total <= 1 {
-        let mut results = Vec::with_capacity(total);
-        for (i, item) in items.iter().enumerate() {
-            if stop.load(Ordering::Relaxed) {
-                results.push(Err(skipped(i, item)));
-                continue;
-            }
-            let res = run_cell(i, item);
-            settle(&res);
-            results.push(res);
-        }
-        return SweepReport { results };
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, CellFailure>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    let cpus = if std::env::var_os("COCHAR_NO_PIN").is_none() {
-        affinity::allowed_cpus()
-    } else {
-        Vec::new()
-    };
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let (stop, next, slots) = (&stop, &next, &slots);
-            let (run_cell, settle) = (&run_cell, &settle);
-            let cpus = &cpus;
+        for slot in 0..threads {
+            let (sup, f, on_done) = (&sup, &f, &on_done);
             s.spawn(move || {
-                if let Some(&cpu) = cpus.get(w % cpus.len().max(1)) {
-                    // Best-effort: an unpinnable worker still sweeps.
-                    affinity::pin_to(cpu);
-                }
+                // Best-effort: an unpinnable thread still sweeps.
+                pin_slot(slot);
+                // A thread leaves once nothing is queued; a ticket that
+                // another thread requeues is run by that thread itself.
                 loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
+                    // Not `while let`: its guard would live through the cell.
+                    let Some(t) = lock_tolerant(sup).take() else { break };
+                    let run = catch_unwind(AssertUnwindSafe(|| f(&items[t.index], t.attempt)));
+                    let mut sup = lock_tolerant(sup);
+                    let reported = match run {
+                        Ok(r) => sup.succeed(t.index, r),
+                        Err(payload) => sup.fail(t, panic_message(payload.as_ref())),
+                    };
+                    if let Reported::Settled(done) = reported {
+                        on_done(done, total);
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let res = run_cell(i, &items[i]);
-                    settle(&res);
-                    *lock_tolerant(&slots[i]) = Some(res);
                 }
             });
         }
     });
-    let results = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, m)| {
-            lock_tolerant(&m)
-                .take()
-                .unwrap_or_else(|| Err(skipped(i, &items[i])))
-        })
-        .collect();
-    SweepReport { results }
+    sup.into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_report(|i| spec_label(i, &items[i]))
 }
 
 /// Maps `f` over `items` using up to `available_parallelism` host threads,
-/// preserving order. Falls back to sequential execution for small inputs.
+/// preserving order.
 ///
 /// A panicking item still fails the whole map (callers of this simple
 /// API expect infallible cells), but only after every other cell has
@@ -242,6 +366,20 @@ where
         |_, _| {},
     )
     .unwrap_all()
+}
+
+/// Pins the calling thread for executor slot `slot` (a pool thread's or
+/// a fabric worker's number) to the `slot % len`-th CPU the thread may
+/// run on, so every executor spreads over the allowed cpuset the same
+/// way. Returns the CPU, or `None` when nothing was pinned — including
+/// under `COCHAR_NO_PIN`, which leaves scheduling to the OS.
+pub fn pin_slot(slot: usize) -> Option<usize> {
+    if std::env::var_os("COCHAR_NO_PIN").is_some() {
+        return None;
+    }
+    let cpus = affinity::allowed_cpus();
+    let cpu = *cpus.get(slot % cpus.len().max(1))?;
+    affinity::pin_to(cpu).then_some(cpu)
 }
 
 /// Worker→CPU pinning through `sched_{get,set}affinity(2)`, declared
@@ -299,6 +437,10 @@ pub mod affinity {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use proptest::prelude::*;
+
     use super::*;
 
     /// On Linux the process must be allowed on at least one CPU, and
@@ -441,8 +583,7 @@ mod tests {
     fn progress_ticks_count_failures_but_not_skips() {
         // (cells, failing cells as every n-th, or none): every settled
         // cell ticks once, and the running count stays in 1..=total and
-        // reaches the total — threaded, and on the one-cell sequential
-        // path.
+        // reaches the total — on a full pool, and on a pool of one.
         for (len, every) in [(30u64, Some(3u64)), (53, None), (1, None)] {
             let ticks = AtomicUsize::new(0);
             let max_seen = AtomicUsize::new(0);
@@ -486,5 +627,120 @@ mod tests {
             }
             x
         });
+    }
+
+    /// The value a drawn schedule's "success" computes for ticket `t`.
+    fn value(t: Ticket) -> u64 {
+        t.index as u64 * 100 + u64::from(t.attempt)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The campaign rules under any interleaving an executor can
+        /// produce, with no threads and no clocks: steps take a ticket,
+        /// report one handed-out ticket as a success, a panic or a lost
+        /// lease, or replay an old report late (a resent or duplicated
+        /// result). A final drain then succeeds everything still open.
+        #[test]
+        fn supervisor_settles_every_cell_once_under_any_schedule(
+            total in 0usize..10,
+            max_retries in 0u32..3,
+            max_issues in 0u32..3,
+            keep_going in any::<bool>(),
+            steps in prop::collection::vec((0u8..5, any::<u64>()), 0..80),
+        ) {
+            let mut sup: Supervisor<u64> =
+                Supervisor::new(total, SweepPolicy { max_retries, keep_going });
+            let mut out: Vec<Ticket> = Vec::new(); // handed out, unreported
+            let mut past: Vec<Ticket> = Vec::new(); // reported or lost
+            let mut settles = vec![0usize; total];
+            let mut values: Vec<Option<u64>> = vec![None; total];
+            let mut ticks = 0usize;
+            let stopped = std::cell::Cell::new(false); // fail-fast fired
+
+            let take = |sup: &mut Supervisor<u64>, out: &mut Vec<Ticket>| {
+                let t = sup.take();
+                prop_assert!(t.is_none() || !stopped.get(), "{t:?} handed out after fail-fast");
+                let t = t?;
+                prop_assert!(t.attempt <= max_retries, "{t:?} past the retry budget");
+                prop_assert!(t.issue <= max_issues, "{t:?} past the issue budget");
+                prop_assert!(!out.contains(&t), "{t:?} handed out twice");
+                out.push(t);
+                Some(t)
+            };
+            let mut observe = |r: Reported, t: Ticket, value: Option<u64>| match r {
+                Reported::Settled(n) => {
+                    ticks += 1;
+                    prop_assert_eq!(n, ticks, "progress counts settlements in order");
+                    settles[t.index] += 1;
+                    prop_assert_eq!(settles[t.index], 1, "cell {} settled twice", t.index);
+                    values[t.index] = value;
+                    if value.is_none() && !keep_going {
+                        stopped.set(true);
+                    }
+                }
+                Reported::Requeued => prop_assert_eq!(settles[t.index], 0),
+                Reported::Skipped => prop_assert!(!keep_going),
+                Reported::Dismissed => {}
+            };
+
+            for &(kind, pick) in &steps {
+                if kind == 0 {
+                    take(&mut sup, &mut out);
+                    continue;
+                }
+                if kind == 4 {
+                    // A late duplicate of an earlier report.
+                    if past.is_empty() {
+                        continue;
+                    }
+                    let t = past[pick as usize % past.len()];
+                    if pick % 2 == 0 {
+                        observe(sup.succeed(t.index, value(t)), t, Some(value(t)));
+                    } else {
+                        observe(sup.fail(t, "late panic".into()), t, None);
+                    }
+                    continue;
+                }
+                if out.is_empty() {
+                    continue;
+                }
+                let t = out.swap_remove(pick as usize % out.len());
+                past.push(t);
+                match kind {
+                    1 => observe(sup.succeed(t.index, value(t)), t, Some(value(t))),
+                    2 => observe(sup.fail(t, format!("panic {}", t.attempt)), t, None),
+                    _ => observe(sup.lose(t, max_issues), t, None),
+                }
+            }
+            while sup.unsettled() > 0 {
+                if take(&mut sup, &mut out).is_none() {
+                    let t = out.pop().expect("open cells, yet nothing queued or handed out");
+                    observe(sup.succeed(t.index, value(t)), t, Some(value(t)));
+                }
+            }
+
+            let report = sup.into_report(|i| format!("cell {i}"));
+            prop_assert_eq!(report.results.len(), total);
+            let mut skips = 0;
+            for (i, r) in report.results.iter().enumerate() {
+                match r {
+                    Ok(v) => {
+                        prop_assert_eq!(settles[i], 1);
+                        prop_assert_eq!(values[i], Some(*v), "cell {} kept its first value", i);
+                    }
+                    Err(f) if f.cause == "skipped (fail-fast)" => {
+                        prop_assert!(!keep_going && settles[i] == 0 && f.attempts == 0);
+                        skips += 1;
+                    }
+                    Err(f) => {
+                        prop_assert_eq!((f.index, settles[i]), (i, 1));
+                        prop_assert!(f.attempts <= max_retries + 1, "{f:?}");
+                    }
+                }
+            }
+            prop_assert_eq!(ticks, total - skips, "skips are not progress");
+        }
     }
 }

@@ -2,23 +2,24 @@
 //!
 //! One coordinator owns one campaign: the row-major list of heatmap pair
 //! cells over the campaign's names. Cells are handed to workers in
-//! *leases* (small batches with a deadline), results stream back one cell
-//! at a time, and the coordinator is the only writer of campaign state —
+//! *leases* (one cell with a deadline), results stream back one cell at a
+//! time, and the coordinator is the only writer of campaign state —
 //! workers are stateless cell evaluators.
 //!
-//! Failure handling is split in two, mirroring the single-process
-//! supervisor:
+//! The campaign rules are the single-process sweep's own: the coordinator
+//! drives the same [`Supervisor`] that `supervised_map` does, and adds
+//! only leases, connections and the ledger around it.
 //!
 //! * A cell that *panics* inside a worker comes back as a `result` with a
-//!   panic cause. The coordinator applies the [`SweepPolicy`] retry
-//!   budget (attempt + 1, deterministic reseed) or records a final
+//!   panic cause, and the supervisor applies the [`SweepPolicy`] retry
+//!   budget (attempt + 1, deterministic reseed) or records the final
 //!   [`CellFailure`] — workers never retry on their own, so no cell ever
 //!   simulates more than `max_retries + 1` attempts campaign-wide.
 //! * A *worker* that dies (socket EOF) or goes silent (lease deadline
-//!   passes without a heartbeat) has its outstanding cells re-queued with
-//!   an incremented issue count; a cell whose lease is lost
-//!   [`FabricConfig::max_issues`] times fails with a delivery error
-//!   instead of cycling forever.
+//!   passes without a heartbeat) loses its lease, and the supervisor
+//!   re-queues the ticket with an incremented issue count; a cell whose
+//!   lease is lost more than [`FabricConfig::max_issues`] times fails
+//!   with a delivery error instead of cycling forever.
 //!
 //! Results are merged into the canonical store twice over: journal lines
 //! riding on each `result` frame are verified and merged as they arrive,
@@ -38,13 +39,14 @@
 //! underneath is content-addressed dedup either way, so nothing is ever
 //! double-merged.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use cochar_colocation::sweep::{Reported, Supervisor, Ticket};
 use cochar_colocation::{CellFailure, CellStatus, Heatmap, Study, SweepPolicy};
 use cochar_store::journal::{parse_record, render_record};
 use cochar_store::RunStore;
@@ -56,7 +58,8 @@ use crate::CampaignSpec;
 /// How a local worker process is launched: the executable plus the
 /// arguments that put it in worker mode (the CLI passes its own binary
 /// and `["fabric", "work"]`). The coordinator appends `--connect ADDR`,
-/// `--worker-store DIR`, `--label wN`, and `--pin-cpu N`.
+/// `--worker-store DIR`, `--label wN`, and `--pin-cpu N` (the worker's
+/// slot number; see [`crate::WorkerConfig::pin_cpu`]).
 #[derive(Clone, Debug)]
 pub struct WorkerCmd {
     /// Executable to spawn.
@@ -72,14 +75,13 @@ pub struct FabricConfig {
     pub workers: usize,
     /// Listen address (`127.0.0.1:0` for an ephemeral local port).
     pub bind: String,
-    /// Cells per lease.
-    pub lease_cells: usize,
     /// Lease lifetime; heartbeats extend it.
     pub lease_timeout: Duration,
     /// Retry policy for panicking cells (same semantics as the
     /// single-process supervisor).
     pub policy: SweepPolicy,
-    /// Give up on a cell after losing this many leases for it.
+    /// Give up on a cell when a lease for it is lost with this many
+    /// re-issues already spent.
     pub max_issues: u32,
     /// How to launch local workers (required when `workers > 0`).
     pub worker_cmd: Option<WorkerCmd>,
@@ -105,7 +107,6 @@ impl Default for FabricConfig {
         FabricConfig {
             workers: 0,
             bind: "127.0.0.1:0".into(),
-            lease_cells: 1,
             lease_timeout: Duration::from_secs(30),
             policy: SweepPolicy::default(),
             max_issues: 5,
@@ -144,7 +145,8 @@ pub struct FabricLedger {
     pub records_duplicate: u64,
     /// Result frames dismissed because their cell was already settled —
     /// resent after a reconnect, duplicated on the wire, or landed after
-    /// the lease was re-issued. Dismissed, never double-merged.
+    /// the lease was re-issued — or because they report a panic for a
+    /// ticket that was superseded. Dismissed, never double-merged.
     pub results_duplicate: u64,
     /// Wire protocol errors observed (coordinator-side frame corruption
     /// plus worker-reported counts riding in on claims).
@@ -170,31 +172,19 @@ pub struct FabricOutcome {
     pub resumed: Option<ResumePrior>,
 }
 
-/// One queued unit of work.
-#[derive(Clone, Copy, Debug)]
-struct QueuedCell {
-    idx: usize,
-    attempt: u32,
-    issue: u32,
-}
-
+/// One outstanding lease: a single ticket held by connection `conn`.
 struct LeaseRec {
     conn: u64,
     deadline: Instant,
-    cells: Vec<QueuedCell>,
+    ticket: Ticket,
 }
 
 struct CoordState {
-    queue: VecDeque<QueuedCell>,
+    /// The campaign rules: queue, retries, settlement.
+    sup: Supervisor<(f64, CellStatus)>,
     leases: HashMap<u64, LeaseRec>,
-    norm: Vec<f64>,
-    status: Vec<CellStatus>,
-    cell_done: Vec<bool>,
-    failures: Vec<Option<CellFailure>>,
-    settled: usize,
-    total: usize,
+    /// Stop serving: every cell settled, or the campaign was aborted.
     done: bool,
-    stop_issuing: bool,
     next_lease: u64,
     ledger: FabricLedger,
     last_activity: Instant,
@@ -221,91 +211,60 @@ impl Coord {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn cell_spec(&self, idx: usize) -> String {
+    /// The cell index of an untrusted wire cell, or `None` when either
+    /// coordinate is out of range.
+    fn cell_index(&self, cell: WireCell) -> Option<usize> {
         let n = self.spec.names.len();
-        format!("{}/{}", self.spec.names[idx / n], self.spec.names[idx % n])
+        (cell.fg < n && cell.bg < n).then(|| cell.fg * n + cell.bg)
     }
 
-    /// Records a final failure for a not-yet-settled cell.
-    fn fail_cell(&self, st: &mut CoordState, idx: usize, cause: String, attempts: u32) {
-        if st.cell_done[idx] {
-            return;
-        }
-        st.cell_done[idx] = true;
-        st.norm[idx] = f64::NAN;
-        st.status[idx] = CellStatus::Failed;
-        st.failures[idx] =
-            Some(CellFailure { index: idx, spec: self.cell_spec(idx), cause, attempts });
-        st.settled += 1;
-    }
-
-    /// Fail-fast: every still-queued cell becomes a skip, matching the
-    /// single-process supervisor's accounting.
-    fn drain_queue_as_skipped(&self, st: &mut CoordState) {
-        st.stop_issuing = true;
-        while let Some(c) = st.queue.pop_front() {
-            self.fail_cell(st, c.idx, "skipped (fail-fast)".to_string(), 0);
-        }
-    }
-
-    /// Puts a lease's lost cells back on the queue (worker death or
-    /// deadline expiry), honoring the issue budget.
-    fn requeue_lease(&self, st: &mut CoordState, lease: LeaseRec) {
-        st.ledger.leases_reissued += 1;
-        for c in lease.cells {
-            if st.cell_done[c.idx] {
-                continue;
+    /// Hands the ticket of every lease matching `lost` (worker death or
+    /// deadline expiry) back to the supervisor; returns how many.
+    fn lose_leases(&self, st: &mut CoordState, lost: impl Fn(&LeaseRec) -> bool) -> usize {
+        let mut tickets = Vec::new();
+        st.leases.retain(|_, l| {
+            let gone = lost(l);
+            if gone {
+                tickets.push(l.ticket);
             }
-            let issue = c.issue + 1;
-            if issue > self.cfg.max_issues {
-                self.fail_cell(
-                    st,
-                    c.idx,
-                    format!("lease lost {issue} times without a result (workers dying?)"),
-                    c.attempt,
-                );
-            } else if st.stop_issuing {
-                self.fail_cell(st, c.idx, "skipped (fail-fast)".to_string(), 0);
-            } else {
-                st.queue.push_back(QueuedCell { idx: c.idx, attempt: c.attempt, issue });
-            }
+            !gone
+        });
+        for &t in &tickets {
+            st.ledger.leases_reissued += 1;
+            st.sup.lose(t, self.cfg.max_issues);
         }
         self.after_settle(st);
+        tickets.len()
     }
 
     fn after_settle(&self, st: &mut CoordState) {
-        if st.settled == st.total {
+        if st.sup.unsettled() == 0 {
             st.done = true;
             self.cv.notify_all();
         }
     }
 
-    /// Carves the next lease off the queue for `conn`, if any work is
-    /// available.
-    fn carve(&self, st: &mut CoordState, conn: u64) -> Option<(u64, Vec<WireCell>)> {
-        if st.done || st.stop_issuing || st.queue.is_empty() {
+    /// Leases the next ticket to `conn`, if any work is available.
+    fn carve(&self, st: &mut CoordState, conn: u64) -> Option<(u64, WireCell)> {
+        if st.done {
             return None;
         }
+        let ticket = st.sup.take()?;
         let n = self.spec.names.len();
-        let take = self.cfg.lease_cells.max(1).min(st.queue.len());
-        let cells: Vec<QueuedCell> = (0..take).filter_map(|_| st.queue.pop_front()).collect();
-        let wire: Vec<WireCell> = cells
-            .iter()
-            .map(|c| WireCell {
-                fg: c.idx / n,
-                bg: c.idx % n,
-                attempt: c.attempt,
-                issue: c.issue,
-            })
-            .collect();
+        let cell = WireCell {
+            fg: ticket.index / n,
+            bg: ticket.index % n,
+            attempt: ticket.attempt,
+            issue: ticket.issue,
+        };
         let id = st.next_lease;
         st.next_lease += 1;
         st.leases.insert(
             id,
-            LeaseRec { conn, deadline: Instant::now() + self.cfg.lease_timeout, cells },
+            LeaseRec { conn, deadline: Instant::now() + self.cfg.lease_timeout, ticket },
         );
         st.ledger.leases_issued += 1;
-        Some((id, wire))
+        Some((id, cell))
     }
 
     /// Merges journal lines that rode in on a result frame.
@@ -337,66 +296,46 @@ impl Coord {
     }
 
     /// Applies one worker result; `on_cell` ticks settled progress.
+    /// Returns `false` for a cell outside the campaign: that link cannot
+    /// be trusted and is dropped.
     fn settle_result(
         &self,
         lease_id: u64,
         cell: WireCell,
         outcome: CellOutcome,
         on_cell: &(impl Fn(usize, usize) + Sync),
-    ) {
-        let n = self.spec.names.len();
-        let idx = cell.fg * n + cell.bg;
+    ) -> bool {
         let mut st = self.lock();
         st.last_activity = Instant::now();
-        if idx >= st.total {
-            return;
-        }
-        // Strike the cell off its lease (the lease may already be gone if
-        // it expired and was re-issued — the late result still counts if
-        // the cell is unsettled, the work is deterministic either way).
-        let mut lease_empty = false;
-        if let Some(lease) = st.leases.get_mut(&lease_id) {
-            lease.cells.retain(|c| c.idx != idx);
-            lease_empty = lease.cells.is_empty();
-        }
-        if lease_empty {
+        let Some(index) = self.cell_index(cell) else {
+            st.ledger.wire_faults += 1;
+            return false;
+        };
+        // The lease may already be gone if it expired and was re-issued:
+        // the late result still counts if the cell is unsettled, the work
+        // is deterministic either way.
+        if st.leases.get(&lease_id).is_some_and(|l| l.ticket.index == index) {
             st.leases.remove(&lease_id);
         }
-        if st.cell_done[idx] {
+        let ticket = Ticket { index, attempt: cell.attempt, issue: cell.issue };
+        let reported = match outcome {
+            CellOutcome::Value { value, status } => st.sup.succeed(index, (value, status)),
+            CellOutcome::Panic { cause } => st.sup.fail(ticket, cause),
+        };
+        match reported {
+            Reported::Settled(completed) => {
+                self.after_settle(&mut st);
+                drop(st);
+                on_cell(completed, self.spec.names.len().pow(2));
+            }
+            Reported::Requeued => st.ledger.cell_retries += 1,
             // A resent (unacked), chaos-duplicated, or expired-lease
-            // result for a settled cell: dismiss it. The records that
-            // rode along were already deduped by the content-addressed
-            // merge, so nothing is double-counted downstream.
-            st.ledger.results_duplicate += 1;
-            return;
+            // result: the records that rode along were already deduped
+            // by the content-addressed merge, so nothing is
+            // double-counted downstream.
+            Reported::Dismissed | Reported::Skipped => st.ledger.results_duplicate += 1,
         }
-        match outcome {
-            CellOutcome::Value { value, status } => {
-                st.norm[idx] = value;
-                st.status[idx] = status;
-                st.cell_done[idx] = true;
-                st.settled += 1;
-            }
-            CellOutcome::Panic { cause } => {
-                if cell.attempt < self.cfg.policy.max_retries && !st.stop_issuing {
-                    st.ledger.cell_retries += 1;
-                    st.queue.push_back(QueuedCell {
-                        idx,
-                        attempt: cell.attempt + 1,
-                        issue: cell.issue,
-                    });
-                } else {
-                    self.fail_cell(&mut st, idx, cause, cell.attempt + 1);
-                    if !self.cfg.policy.keep_going {
-                        self.drain_queue_as_skipped(&mut st);
-                    }
-                }
-            }
-        }
-        let (settled, total) = (st.settled, st.total);
-        self.after_settle(&mut st);
-        drop(st);
-        on_cell(settled, total);
+        true
     }
 
     /// Folds a worker's self-reported cumulative wire fault count into
@@ -493,10 +432,10 @@ impl Coord {
                             Msg::Done
                         } else {
                             match self.carve(&mut st, conn) {
-                                Some((id, cells)) => Msg::Lease {
+                                Some((id, cell)) => Msg::Lease {
                                     id,
                                     deadline_ms: self.cfg.lease_timeout.as_millis() as u64,
-                                    cells,
+                                    cells: vec![cell],
                                 },
                                 None => Msg::Wait { ms: 100 },
                             }
@@ -509,7 +448,12 @@ impl Coord {
                 }
                 Frame::Msg(Msg::Result { lease, cell, outcome, records }) => {
                     self.merge_wire_records(&records);
-                    self.settle_result(lease, cell, outcome, on_cell);
+                    if !self.settle_result(lease, cell, outcome, on_cell) {
+                        let at = (cell.fg, cell.bg);
+                        eprintln!("fabric: dropping connection after a result for {at:?}, \
+                                   a cell outside the campaign");
+                        break;
+                    }
                     if write_frame(&mut writer, &Msg::Ack).is_err() {
                         break;
                     }
@@ -531,33 +475,15 @@ impl Coord {
         // Connection is gone (or being dismissed): anything it still
         // holds goes back on the queue.
         let mut st = self.lock();
-        let lost: Vec<u64> =
-            st.leases.iter().filter(|(_, l)| l.conn == conn).map(|(id, _)| *id).collect();
-        if !lost.is_empty() && !st.done {
+        if !st.done && self.lose_leases(&mut st, |l| l.conn == conn) > 0 {
             st.ledger.worker_deaths += 1;
-            for id in lost {
-                if let Some(lease) = st.leases.remove(&id) {
-                    self.requeue_lease(&mut st, lease);
-                }
-            }
         }
     }
 
     /// Expires overdue leases; runs every 100 ms on its own thread.
     fn expire_overdue(&self) {
-        let mut st = self.lock();
         let now = Instant::now();
-        let overdue: Vec<u64> = st
-            .leases
-            .iter()
-            .filter(|(_, l)| l.deadline < now)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in overdue {
-            if let Some(lease) = st.leases.remove(&id) {
-                self.requeue_lease(&mut st, lease);
-            }
-        }
+        self.lose_leases(&mut self.lock(), |l| l.deadline < now);
     }
 }
 
@@ -666,11 +592,7 @@ pub fn run_campaign(
     // solos once here and shipping the records in `hello` means workers
     // answer them from cache instead of each re-simulating all N.
     let solo_start = Instant::now();
-    for name in &spec.names {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            study.solo(name.as_str())
-        }));
-    }
+    study.preseed_solos(&spec.names);
     let solo_wall = solo_start.elapsed();
     let mut solo_lines = Vec::new();
     for name in &spec.names {
@@ -681,62 +603,41 @@ pub fn run_campaign(
         }
     }
 
-    // --- Phase 2: build the cell queue, resolving cached cells locally.
+    // --- Phase 2: settle cached cells locally; the rest stay queued.
     let names: Vec<&str> = spec.names.iter().map(|s| s.as_str()).collect();
-    let cells = Heatmap::pair_cells(names.len());
-    let total = cells.len();
+    let total = names.len() * names.len();
     let mut st = CoordState {
-        queue: VecDeque::with_capacity(total),
+        sup: Supervisor::new(total, cfg.policy),
         leases: HashMap::new(),
-        norm: vec![f64::NAN; total],
-        status: vec![CellStatus::Failed; total],
-        cell_done: vec![false; total],
-        failures: (0..total).map(|_| None).collect(),
-        settled: 0,
-        total,
         done: false,
-        stop_issuing: false,
         next_lease: 1,
         ledger: FabricLedger::default(),
         last_activity: Instant::now(),
         open_conns: 0,
     };
     let pair_start = Instant::now();
-    for (idx, &(i, j)) in cells.iter().enumerate() {
-        let mut resolved = false;
-        if cfg.resolve_cached {
+    if cfg.resolve_cached {
+        for (idx, (i, j)) in Heatmap::pair_cells(names.len()).into_iter().enumerate() {
             let keys = study.pair_keys(names[i], names[j], 0);
-            if !keys.is_empty() && keys.iter().all(|&k| store.contains(k)) {
-                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    study.pair_attempt(names[i], names[j], 0)
-                }));
-                if let Ok(pair) = got {
-                    st.norm[idx] = pair.fg_slowdown;
-                    st.status[idx] = if pair.stalled {
-                        CellStatus::Stalled
-                    } else if pair.truncated {
-                        CellStatus::Truncated
-                    } else {
-                        CellStatus::Ok
-                    };
-                    st.cell_done[idx] = true;
-                    st.settled += 1;
-                    st.ledger.cells_cached += 1;
-                    resolved = true;
-                }
+            if keys.is_empty() || !keys.iter().all(|&k| store.contains(k)) {
+                continue;
+            }
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Heatmap::measure_cell(study, names[i], names[j], 0)
+            }));
+            if let Ok(cell) = got {
+                st.sup.succeed(idx, cell);
+                st.ledger.cells_cached += 1;
             }
         }
-        if !resolved {
-            st.queue.push_back(QueuedCell { idx, attempt: 0, issue: 0 });
-        }
     }
-    if st.settled > 0 {
-        on_cell(st.settled, total);
+    if st.ledger.cells_cached > 0 {
+        on_cell(st.ledger.cells_cached as usize, total);
     }
-    let all_cached = st.settled == total;
+    let all_cached = st.sup.unsettled() == 0;
     st.done = all_cached;
 
-    let coord = Arc::new(Coord {
+    let coord = Coord {
         state: Mutex::new(st),
         cv: Condvar::new(),
         store: store.clone(),
@@ -746,7 +647,7 @@ pub fn run_campaign(
         next_conn: AtomicU64::new(1),
         merge_failed: Mutex::new(None),
         fault_reports: Mutex::new(HashMap::new()),
-    });
+    };
 
     let mut worker_dirs: Vec<PathBuf> = Vec::new();
     if !all_cached {
@@ -779,15 +680,11 @@ pub fn run_campaign(
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    let st = coord.lock();
-    let failures: Vec<CellFailure> = st.failures.iter().flatten().cloned().collect();
-    let heatmap = Heatmap::from_cells(
-        spec.names.clone(),
-        cells.iter().enumerate().map(|(idx, &(i, j))| (i, j, st.norm[idx], st.status[idx])),
-    );
-    let ledger = st.ledger;
-    drop(st);
     let merge_failed = coord.merge_failed.lock().unwrap_or_else(|p| p.into_inner()).is_some();
+    let st = coord.state.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let ledger = st.ledger;
+    let report = st.sup.into_report(|idx| Heatmap::cell_label(&spec.names, idx));
+    let (heatmap, failures) = Heatmap::from_report(spec.names.clone(), report);
     let store_degraded = study.store_degraded() || merge_failed;
     if persistent {
         // Journal this run's ledger for whoever resumes or audits the
@@ -806,7 +703,7 @@ pub fn run_campaign(
 
 /// Phase 3: run the listener + local workers until every cell settles.
 fn serve(
-    coord: &Arc<Coord>,
+    coord: &Coord,
     cfg: &FabricConfig,
     solo_lines: &[String],
     on_cell: &(impl Fn(usize, usize) + Sync),
@@ -893,7 +790,7 @@ fn serve(
                 break None;
             }
             if st.last_activity.elapsed() > cfg.stall_timeout {
-                let unsettled = st.total - st.settled;
+                let unsettled = st.sup.unsettled();
                 st.done = true;
                 break Some(format!(
                     "fabric stalled: {unsettled} cell(s) unsettled and no worker \
@@ -925,7 +822,7 @@ fn serve(
             } else if !children.is_empty() && exits.len() == children.len() {
                 let mut st = coord.lock();
                 if !st.done && st.open_conns == 0 {
-                    let unsettled = st.total - st.settled;
+                    let unsettled = st.sup.unsettled();
                     st.done = true;
                     break Some(format!(
                         "fabric failed: {unsettled} cell(s) unsettled, every local worker \

@@ -49,8 +49,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cochar_colocation::sweep::affinity;
-use cochar_colocation::{CellStatus, Study};
+use cochar_colocation::sweep::{panic_message, pin_slot};
+use cochar_colocation::{Heatmap, Study};
 use cochar_store::journal::{parse_record, render_record};
 use cochar_store::{RunKey, RunStore};
 
@@ -105,7 +105,9 @@ pub struct WorkerConfig {
     pub store_dir: Option<PathBuf>,
     /// Label echoed in `claim` (diagnostics only).
     pub label: String,
-    /// Pin this process to a CPU (skipped under `COCHAR_NO_PIN`).
+    /// Executor slot to pin this process for, as sweep pool thread `i`
+    /// would be (the coordinator passes the worker's number; see
+    /// [`cochar_colocation::sweep::pin_slot`]).
     pub pin_cpu: Option<usize>,
     /// Cell-level fault injection (the study's chaos cell), as
     /// `(fg, bg, succeed_from)`.
@@ -234,16 +236,6 @@ fn send_to(writer: &SharedWriter, msg: &Msg) -> bool {
     write_frame(&mut *w, msg).is_ok()
 }
 
-fn panic_cause(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
 /// Journal lines for every store record not yet shipped to the
 /// coordinator; marks them shipped.
 fn new_records(store: &RunStore, sent: &mut HashSet<RunKey>) -> Vec<String> {
@@ -306,11 +298,9 @@ fn connect_with_retry(addr: &str, budget: Duration) -> Result<TcpStream, String>
 /// Connects to a coordinator and works until dismissed, reconnecting
 /// through connection loss (see the module docs).
 pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
-    if let Some(cpu) = cfg.pin_cpu {
-        if std::env::var_os("COCHAR_NO_PIN").is_none() {
-            // Best effort: an over-subscribed host just leaves it to the OS.
-            let _ = affinity::pin_to(cpu);
-        }
+    if let Some(slot) = cfg.pin_cpu {
+        // Best effort: an over-subscribed host just leaves it to the OS.
+        pin_slot(slot);
     }
     // Private store, pre-seeded with the solos so this worker never
     // simulates a denominator. Opened once; sessions share it.
@@ -567,23 +557,16 @@ fn session_loop(
                     };
                     apply_worker_chaos(cfg, current_lease, fg, bg, cell);
                     let computed = catch_unwind(AssertUnwindSafe(|| {
-                        study.pair_attempt(fg, bg, cell.attempt)
+                        Heatmap::measure_cell(study, fg, bg, cell.attempt)
                     }));
                     let outcome = match computed {
-                        Ok(pair) => {
+                        Ok((value, status)) => {
                             summary.cells += 1;
-                            let status = if pair.stalled {
-                                CellStatus::Stalled
-                            } else if pair.truncated {
-                                CellStatus::Truncated
-                            } else {
-                                CellStatus::Ok
-                            };
-                            CellOutcome::Value { value: pair.fg_slowdown, status }
+                            CellOutcome::Value { value, status }
                         }
                         Err(e) => {
                             summary.panics += 1;
-                            CellOutcome::Panic { cause: panic_cause(e.as_ref()) }
+                            CellOutcome::Panic { cause: panic_message(e.as_ref()) }
                         }
                     };
                     let records = new_records(store, sent);

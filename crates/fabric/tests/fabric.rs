@@ -370,3 +370,56 @@ fn mismatched_fingerprint_claim_is_dismissed() {
     assert!(outcome.failures.is_empty());
     assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
 }
+
+#[test]
+fn out_of_range_result_is_a_wire_fault() {
+    use cochar_fabric::wire::{write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell};
+    use cochar_colocation::CellStatus;
+
+    let spec = tiny_spec();
+    let (tx, rx) = mpsc::channel();
+    let cfg = FabricConfig { on_bound: Some(tx), ..FabricConfig::default() };
+    let study = spec.build_study(None).expect("spec builds");
+    let outcome = std::thread::scope(|scope| {
+        let coord = scope.spawn(|| run_campaign(&study, &spec, &cfg, |_, _| {}));
+        let addr = rx.recv_timeout(Duration::from_secs(30)).expect("bound");
+
+        // A raw client claims a lease honestly, then reports a cell
+        // outside the 3 x 3 campaign: (0, 3) must not land on row-major
+        // index 3, cell (1, 0). The coordinator must drop the link.
+        let stream = std::net::TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = FrameReader::new(stream);
+        let mut next = || loop {
+            match reader.next_frame() {
+                Ok(Frame::Idle) => continue,
+                other => break other,
+            }
+        };
+        let Ok(Frame::Msg(Msg::Hello { fp, .. })) = next() else { panic!("expected hello") };
+        let claim = Msg::Claim { fp, worker: "rogue".into(), session: 0, faults: 0 };
+        write_frame(&mut writer, &claim).expect("claim");
+        let Ok(Frame::Msg(Msg::Lease { id, .. })) = next() else { panic!("expected a lease") };
+        let result = Msg::Result {
+            lease: id,
+            cell: WireCell { fg: 0, bg: 3, attempt: 0, issue: 0 },
+            outcome: CellOutcome::Value { value: 99.0, status: CellStatus::Ok },
+            records: vec![],
+        };
+        write_frame(&mut writer, &result).expect("result");
+        let reply = next();
+        drop((writer, reader));
+
+        // An honest worker then completes the campaign.
+        let worker = spawn_worker(WorkerConfig::new(&addr));
+        let outcome = coord.join().expect("join").expect("campaign succeeds");
+        join_workers(vec![worker], 0);
+        (outcome, reply)
+    });
+    let (outcome, reply) = outcome;
+    assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
+    assert!(outcome.failures.is_empty(), "failures: {:?}", outcome.failures);
+    assert!(!matches!(reply, Ok(Frame::Msg(_))), "out-of-range result was answered: {reply:?}");
+    assert!(outcome.ledger.wire_faults >= 1, "ledger: {:?}", outcome.ledger);
+}
