@@ -460,8 +460,8 @@ fn campaign(opts: &Opts, path: &str, pin: Option<&str>, check: bool) -> Result<E
     check_campaign(pinned, &m)
 }
 
-/// Runs the 25-cell campaign once per worker count over a fresh scratch
-/// store (cached cells would measure the journal, not the fabric).
+/// Runs the 25-cell campaign once per worker count over a fresh in-memory
+/// store (cached cells would measure the cache, not the fabric).
 fn measure_campaign(opts: &Opts) -> Result<CampaignMeasured, String> {
     use cochar_fabric::{run_campaign, CampaignSpec, FabricConfig, WorkerCmd};
 
@@ -480,21 +480,13 @@ fn measure_campaign(opts: &Opts) -> Result<CampaignMeasured, String> {
     let mut wall_s = Vec::with_capacity(CAMPAIGN_WORKERS.len());
     let mut csv: Option<String> = None;
     for &workers in &CAMPAIGN_WORKERS {
-        let dir = std::env::temp_dir().join(format!(
-            "cochar-bench-campaign-{}-{workers}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = cochar_store::RunStore::open(&dir).map_err(|e| e.to_string())?;
-        let study = spec.build_study(Some(store))?;
+        let study = spec.build_study(None)?;
         let cfg = FabricConfig {
             workers,
             worker_cmd: Some(WorkerCmd { exe: exe.clone(), args: vec!["fabric".into(), "work".into()] }),
             ..FabricConfig::default()
         };
         let outcome = run_campaign(&study, &spec, &cfg, |_, _| {})?;
-        drop(study);
-        let _ = std::fs::remove_dir_all(&dir);
         if let Some(f) = outcome.failures.first() {
             return Err(format!(
                 "campaign cell {} failed at {workers} worker(s): {}",

@@ -161,9 +161,6 @@ fn work(opts: &Opts) -> Result<ExitCode, String> {
         .ok_or("fabric work needs --connect HOST:PORT")?
         .to_string();
     let mut cfg = WorkerConfig::new(connect);
-    if let Some(dir) = opts.flag("worker-store") {
-        cfg.store_dir = Some(dir.into());
-    }
     if let Some(label) = opts.flag("label") {
         cfg.label = label.to_string();
     }

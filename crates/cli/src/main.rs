@@ -57,7 +57,7 @@ commands:
                                [--lease-timeout-ms T]
                                (CSV is byte-identical to `heatmap`)
   fabric serve <apps...>       coordinator only [--bind HOST:PORT] [--workers N]
-  fabric work --connect ADDR   worker only [--worker-store DIR] [--label L]
+  fabric work --connect ADDR   worker only [--label L]
                                [--pin-cpu N] [--connect-retry-ms T (default 5000)]
                                [--max-reconnects N (default 8)]
   scalability <app>            1..N thread sweep [--max-threads N]

@@ -16,13 +16,13 @@ pub struct Opts {
 }
 
 /// Flags that take a value (everything else is a boolean switch).
-const VALUED: [&str; 40] = [
+const VALUED: [&str; 39] = [
     "machine", "work", "threads", "trials", "seed", "csv", "policy", "pads", "max-threads",
     "train-frac", "train-apps", "lambda", "json", "store", "max-retries",
     // bench flags
     "pin", "tolerance", "reps",
     // fabric flags
-    "workers", "bind", "connect", "lease-timeout-ms", "worker-store",
+    "workers", "bind", "connect", "lease-timeout-ms",
     "label", "pin-cpu", "connect-retry-ms", "max-reconnects",
     // cluster scenario flags
     "nodes", "slots", "jobs", "rate", "util", "qos", "slo", "compose", "knowledge",

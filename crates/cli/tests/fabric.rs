@@ -41,6 +41,9 @@ fn sweep_csv_is_byte_identical_to_heatmap() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("fabric: workers 2"), "missing ledger:\n{text}");
     assert!(text.contains("leases issued"), "missing ledger:\n{text}");
+    // Results carry only their own cell's run, and no worker journal is
+    // merged again at teardown: one record per cell, no duplicates.
+    assert!(text.contains("records merged 4, duplicates 0"), "merge counts:\n{text}");
 
     let mut heat = vec!["heatmap"];
     heat.extend(APPS);

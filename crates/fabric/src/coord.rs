@@ -21,11 +21,11 @@
 //!   lease is lost more than [`FabricConfig::max_issues`] times fails
 //!   with a delivery error instead of cycling forever.
 //!
-//! Results are merged into the canonical store twice over: journal lines
-//! riding on each `result` frame are verified and merged as they arrive,
-//! and local workers' journal files are merged again at teardown (caching
-//! whatever a killed worker computed but never reported). Both merges are
-//! pure dedup by run fingerprint.
+//! Results reach the canonical store one way only: the journal lines of
+//! a cell's own runs ride on its `result` frame and are verified and
+//! merged as they arrive, by pure dedup on run fingerprint. A campaign
+//! without a store of its own uses an in-memory one, so the fabric writes
+//! no scratch directory at all.
 //!
 //! The coordinator itself is recoverable: a store-backed campaign writes
 //! `campaign.json` before issuing any cell and appends its ledger to
@@ -58,8 +58,8 @@ use crate::CampaignSpec;
 /// How a local worker process is launched: the executable plus the
 /// arguments that put it in worker mode (the CLI passes its own binary
 /// and `["fabric", "work"]`). The coordinator appends `--connect ADDR`,
-/// `--worker-store DIR`, `--label wN`, and `--pin-cpu N` (the worker's
-/// slot number; see [`crate::WorkerConfig::pin_cpu`]).
+/// `--label wN`, and `--pin-cpu N` (the worker's slot number; see
+/// [`crate::WorkerConfig::pin_cpu`]).
 #[derive(Clone, Debug)]
 pub struct WorkerCmd {
     /// Executable to spawn.
@@ -139,7 +139,7 @@ pub struct FabricLedger {
     pub cell_retries: u64,
     /// Cells answered from the coordinator's store without a lease.
     pub cells_cached: u64,
-    /// Journal records merged into the canonical store (wire + files).
+    /// Journal records merged into the canonical store off the wire.
     pub records_merged: u64,
     /// Records that were already resident (dedup hits).
     pub records_duplicate: u64,
@@ -487,20 +487,9 @@ impl Coord {
     }
 }
 
-/// Counter for unique scratch directories within one process.
-static SCRATCH: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "cochar-fabric-{tag}-{}-{}",
-        std::process::id(),
-        SCRATCH.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// Runs one sharded campaign to completion.
 ///
-/// `study` supplies the store (a scratch store is created when it has
+/// `study` supplies the store (an in-memory store stands in when it has
 /// none), the solo pre-seed runs, and cached-cell resolution; it must
 /// describe the same measurement protocol as `spec` — the CLI builds both
 /// from the same flags. `on_cell(settled, total)` ticks as pair cells
@@ -523,16 +512,9 @@ pub fn run_campaign(
         return Err("local workers requested but no worker command configured".into());
     }
 
-    // The canonical store: the study's own, or a scratch store that only
-    // lives for this campaign (workers still need somewhere to merge).
-    let (store, scratch_store) = match study.store() {
-        Some(s) => (s.clone(), None),
-        None => {
-            let dir = scratch_dir("store");
-            let s = RunStore::open(&dir).map_err(|e| e.to_string())?;
-            (s, Some(dir))
-        }
-    };
+    // The canonical store: the study's own, or an in-memory one that only
+    // lives for this campaign (worker results still need a merge target).
+    let store = study.store().cloned().unwrap_or_else(RunStore::in_memory);
     // A store-less study cannot journal its solos; run the campaign
     // through a store-backed twin so solo pre-seeding lands in `store`.
     let seeded_study;
@@ -544,9 +526,9 @@ pub fn run_campaign(
     };
 
     // --- Phase 0: durable campaign metadata (crash recovery). Only a
-    // store-backed campaign is resumable — a scratch store dies with the
-    // process, so there is nothing to journal toward.
-    let persistent = scratch_store.is_none();
+    // campaign with an on-disk store is resumable — an in-memory store
+    // dies with the process, so there is nothing to journal toward.
+    let persistent = !store.is_in_memory();
     let mut resumed: Option<ResumePrior> = None;
     if persistent {
         let dir = store.dir().to_path_buf();
@@ -649,36 +631,10 @@ pub fn run_campaign(
         fault_reports: Mutex::new(HashMap::new()),
     };
 
-    let mut worker_dirs: Vec<PathBuf> = Vec::new();
     if !all_cached {
-        serve(&coord, cfg, &solo_lines, &on_cell, &mut worker_dirs)?;
+        serve(&coord, cfg, &solo_lines, &on_cell)?;
     }
     let pair_wall = pair_start.elapsed();
-
-    // --- Phase 4: merge local worker journals (catches anything a killed
-    // worker computed but never reported) and clean up scratch space.
-    {
-        let mut merged = (0u64, 0u64);
-        for dir in &worker_dirs {
-            let path = dir.join(cochar_store::journal::JOURNAL_FILE);
-            if !path.exists() {
-                continue;
-            }
-            match store.merge_journal(&path) {
-                Ok((report, _)) => {
-                    merged.0 += report.added;
-                    merged.1 += report.duplicates;
-                }
-                Err(e) => eprintln!("warning: merging {} failed: {e}", path.display()),
-            }
-        }
-        let mut st = coord.lock();
-        st.ledger.records_merged += merged.0;
-        st.ledger.records_duplicate += merged.1;
-    }
-    for dir in &worker_dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 
     let merge_failed = coord.merge_failed.lock().unwrap_or_else(|p| p.into_inner()).is_some();
     let st = coord.state.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -695,9 +651,6 @@ pub fn run_campaign(
             eprintln!("warning: {e}");
         }
     }
-    if let Some(dir) = scratch_store {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
     Ok(FabricOutcome { heatmap, failures, ledger, pair_wall, solo_wall, store_degraded, resumed })
 }
 
@@ -707,7 +660,6 @@ fn serve(
     cfg: &FabricConfig,
     solo_lines: &[String],
     on_cell: &(impl Fn(usize, usize) + Sync),
-    worker_dirs: &mut Vec<PathBuf>,
 ) -> Result<(), String> {
     let listener =
         TcpListener::bind(&cfg.bind).map_err(|e| format!("bind {}: {e}", cfg.bind))?;
@@ -750,18 +702,13 @@ fn serve(
         // Local worker processes.
         let mut children: Vec<std::process::Child> = Vec::new();
         let mut next_worker = 0usize;
-        let mut spawn_worker = |children: &mut Vec<std::process::Child>,
-                                worker_dirs: &mut Vec<PathBuf>|
-         -> Result<(), String> {
+        let mut spawn_worker = |children: &mut Vec<std::process::Child>| -> Result<(), String> {
             let cmd = cfg.worker_cmd.as_ref().expect("checked in run_campaign");
-            let dir = scratch_dir(&format!("worker{next_worker}"));
             let label = format!("w{next_worker}");
             let child = std::process::Command::new(&cmd.exe)
                 .args(&cmd.args)
                 .arg("--connect")
                 .arg(&addr)
-                .arg("--worker-store")
-                .arg(&dir)
                 .arg("--label")
                 .arg(&label)
                 .arg("--pin-cpu")
@@ -771,12 +718,11 @@ fn serve(
                 .spawn()
                 .map_err(|e| format!("spawning worker {}: {e}", cmd.exe.display()))?;
             next_worker += 1;
-            worker_dirs.push(dir);
             children.push(child);
             Ok(())
         };
         for _ in 0..cfg.workers {
-            spawn_worker(&mut children, worker_dirs)?;
+            spawn_worker(&mut children)?;
         }
 
         // Wait for settlement, respawning dead local workers (budget: one
@@ -816,7 +762,7 @@ fn serve(
             let respawned_so_far = children.len() - cfg.workers;
             if respawned_so_far < respawn_budget {
                 if exits.len() > respawned_so_far && !coord.lock().done {
-                    spawn_worker(&mut children, worker_dirs)?;
+                    spawn_worker(&mut children)?;
                     coord.lock().ledger.respawns += 1;
                 }
             } else if !children.is_empty() && exits.len() == children.len() {

@@ -12,9 +12,10 @@
 //!    many times: the bytes come out the same. The final CSV is therefore
 //!    byte-identical to a single-process sweep by construction.
 //! 2. **Content addressing** — every `Machine::run` is keyed by its
-//!    [`cochar_store::RunKey`] fingerprint, so merging worker journals
-//!    into the canonical store is pure dedup: records are either new or
-//!    byte-identical duplicates, never conflicts.
+//!    [`cochar_store::RunKey`] fingerprint, so merging the journal
+//!    records that ride on worker results into the canonical store is
+//!    pure dedup: records are either new or byte-identical duplicates,
+//!    never conflicts.
 //!
 //! The moving parts:
 //!
@@ -25,7 +26,7 @@
 //!   (`claim → lease{cells, deadline} → result|heartbeat → ack`).
 //! * [`coord`] — the coordinator: partitions cells into leases, spawns
 //!   local workers, accepts remote ones over TCP, re-issues expired
-//!   leases, and merges results + journals into the canonical store.
+//!   leases, and merges each result's records into the canonical store.
 //! * [`worker`] — the worker loop: connect (with retry), claim, compute
 //!   each leased cell under panic isolation, stream journal records back,
 //!   and reconnect through connection loss.

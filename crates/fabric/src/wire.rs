@@ -120,7 +120,8 @@ pub enum CellOutcome {
 /// A parsed protocol message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
-    /// Coordinator greeting: campaign description + solo seed records.
+    /// Coordinator greeting: campaign description + solo seed records,
+    /// which the worker merges into its own (in-memory) store.
     Hello {
         /// Campaign fingerprint ([`CampaignSpec::fingerprint`]).
         fp: u64,
@@ -161,8 +162,8 @@ pub enum Msg {
     },
     /// The campaign settled; the worker should exit.
     Done,
-    /// One computed (or panicked) cell plus the new journal records the
-    /// computation produced.
+    /// One computed (or panicked) cell plus the journal records of its
+    /// runs — the only way a worker's runs reach the canonical store.
     Result {
         /// The lease this cell belonged to.
         lease: u64,
@@ -170,7 +171,8 @@ pub enum Msg {
         cell: WireCell,
         /// What happened.
         outcome: CellOutcome,
-        /// New journal lines from the worker's store.
+        /// Journal lines of this cell attempt's runs
+        /// ([`cochar_colocation::Study::pair_keys`]) from the worker's store.
         records: Vec<String>,
     },
     /// Lease keep-alive while a long cell computes.

@@ -2,11 +2,14 @@
 //!
 //! A worker connects, receives the campaign spec in `hello`, rebuilds the
 //! exact same [`cochar_colocation::Study`] the coordinator holds (same
-//! run keys — that is the merge invariant), pre-seeds its private store
-//! with the solo records that rode in, and then claims leases until the
-//! coordinator says `done`. Each leased cell is computed under panic
-//! isolation; the coordinator owns all retry policy, so the worker just
-//! reports what happened.
+//! run keys — that is the merge invariant), pre-seeds its store (in
+//! memory unless [`WorkerConfig::store_dir`] names one) with the solo
+//! records that rode in, and then claims leases until the coordinator
+//! says `done`. Each leased cell is computed under panic isolation; the
+//! coordinator owns all retry policy, so the worker just reports what
+//! happened. The `result` frame is the only way a run reaches the
+//! canonical store: it carries the journal records of that cell's own
+//! runs.
 //!
 //! While a lease is held, a heartbeat thread extends it every
 //! `lease_ms / 3`, so a slow cell does not get re-issued out from under a
@@ -24,9 +27,8 @@
 //! resent verbatim at the start of the new session; the coordinator
 //! dismisses it if the cell already settled (counted in the ledger) and
 //! the records it carries are content-addressed, so the resend is
-//! idempotent by construction. Study, store, and the sent-record set all
-//! persist across sessions — reconnecting costs one TCP handshake and one
-//! hello, not a rebuild.
+//! idempotent by construction. Study and store persist across sessions —
+//! reconnecting costs one TCP handshake and one hello, not a rebuild.
 //!
 //! The first connect also retries within [`WorkerConfig::connect_retry`],
 //! so a worker racing `fabric serve` startup (or a coordinator mid-solo
@@ -40,7 +42,6 @@
 //! heartbeat and sleeps forever, which is how lease *expiry* (as opposed
 //! to connection death) is exercised.
 
-use std::collections::HashSet;
 use std::io::Write;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,7 +53,7 @@ use std::time::{Duration, Instant};
 use cochar_colocation::sweep::{panic_message, pin_slot};
 use cochar_colocation::{Heatmap, Study};
 use cochar_store::journal::{parse_record, render_record};
-use cochar_store::{RunKey, RunStore};
+use cochar_store::RunStore;
 
 use crate::chaos::{ChaosState, ChaosStream, WirePlan};
 use crate::wire::{write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell, WireError};
@@ -99,9 +100,8 @@ impl WorkerChaos {
 pub struct WorkerConfig {
     /// Coordinator address (`host:port`).
     pub connect: String,
-    /// Private store directory; when absent, a scratch dir unique to this
-    /// call (removed when the worker returns). The coordinator passes a
-    /// directory it will harvest.
+    /// Private store directory; when absent (as for every worker the
+    /// coordinator spawns), the store lives in memory.
     pub store_dir: Option<PathBuf>,
     /// Label echoed in `claim` (diagnostics only).
     pub label: String,
@@ -186,17 +186,12 @@ struct WorkerState {
     fp: Option<u64>,
     study: Option<Study>,
     names: Vec<String>,
-    sent: HashSet<RunKey>,
     pending: Option<PendingResult>,
     session: u32,
     summary: WorkerSummary,
 }
 
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
-/// Numbers the scratch stores this process opens, so in-process workers
-/// sharing a label (and a pid) never collide on one directory lock.
-static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// What [`recv`] yielded.
 enum Recv {
@@ -236,16 +231,11 @@ fn send_to(writer: &SharedWriter, msg: &Msg) -> bool {
     write_frame(&mut *w, msg).is_ok()
 }
 
-/// Journal lines for every store record not yet shipped to the
-/// coordinator; marks them shipped.
-fn new_records(store: &RunStore, sent: &mut HashSet<RunKey>) -> Vec<String> {
-    let mut lines = Vec::new();
-    for (k, o) in store.entries() {
-        if sent.insert(k) {
-            lines.push(render_record(k, &o));
-        }
-    }
-    lines
+/// Journal lines of the runs of one cell attempt that are resident in
+/// `store`: what the coordinator needs to answer the cell from cache.
+fn cell_records(study: &Study, store: &RunStore, fg: &str, bg: &str, attempt: u32) -> Vec<String> {
+    let keys = study.pair_keys(fg, bg, attempt);
+    keys.into_iter().filter_map(|k| Some(render_record(k, store.get(k)?.as_ref()))).collect()
 }
 
 #[cfg(unix)]
@@ -304,15 +294,10 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
     }
     // Private store, pre-seeded with the solos so this worker never
     // simulates a denominator. Opened once; sessions share it.
-    let (store_dir, scratch) = match &cfg.store_dir {
-        Some(dir) => (dir.clone(), false),
-        None => {
-            let n = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
-            let name = format!("cochar-worker-{}-{}-{n}", cfg.label, std::process::id());
-            (std::env::temp_dir().join(name), true)
-        }
+    let store = match &cfg.store_dir {
+        Some(dir) => RunStore::open(dir).map_err(|e| e.to_string())?,
+        None => RunStore::in_memory(),
     };
-    let store = RunStore::open(&store_dir).map_err(|e| e.to_string())?;
     // One chaos state for the whole process: frame indices keep counting
     // across reconnects, so each scheduled fault fires exactly once.
     let chaos = cfg
@@ -325,7 +310,6 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
         fp: None,
         study: None,
         names: Vec::new(),
-        sent: HashSet::new(),
         pending: None,
         session: 0,
         summary: WorkerSummary::default(),
@@ -337,8 +321,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
             Err(e) => {
                 // We already worked for this coordinator and now it is
                 // unreachable: the likeliest story is that the campaign
-                // settled and it exited. Our results either landed or sit
-                // in the worker store for the teardown harvest.
+                // settled and it exited. Every acknowledged result landed;
+                // an unacknowledged one is re-issued by a live coordinator.
                 eprintln!(
                     "fabric: worker {}: coordinator unreachable after {} session(s) \
                      ({e}); assuming the campaign is over",
@@ -368,14 +352,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
             }
         }
     };
-    let summary = st.summary;
-    if scratch {
-        st.study = None;
-        drop(st);
-        drop(store);
-        let _ = std::fs::remove_dir_all(&store_dir);
-    }
-    result.map(|()| summary)
+    result.map(|()| st.summary)
 }
 
 /// Runs one session: hello, (re)build state on the first one, resend the
@@ -433,7 +410,6 @@ fn run_session(
         if let Err(e) = store.merge_records(seeds) {
             return SessionEnd::Fatal(e.to_string());
         }
-        st.sent = store.entries().iter().map(|(k, _)| *k).collect();
         let mut study = match campaign.build_study(Some(store.clone())) {
             Ok(s) => s,
             Err(e) => return SessionEnd::Fatal(e),
@@ -490,7 +466,7 @@ fn session_loop(
     reader: &mut FrameReader<TcpStream>,
     current_lease: &AtomicU64,
 ) -> SessionEnd {
-    let WorkerState { fp, study, names, sent, pending, session, summary } = st;
+    let WorkerState { fp, study, names, pending, session, summary } = st;
     let fp = fp.expect("hello recorded the fingerprint");
     let study = study.as_ref().expect("hello built the study");
 
@@ -569,7 +545,7 @@ fn session_loop(
                             CellOutcome::Panic { cause: panic_message(e.as_ref()) }
                         }
                     };
-                    let records = new_records(store, sent);
+                    let records = cell_records(study, store, fg, bg, cell.attempt);
                     *pending = Some(PendingResult {
                         lease: id,
                         cell,

@@ -1,89 +1,20 @@
 //! End-to-end fabric tests with in-process workers: the coordinator runs
 //! on the test thread, workers run on plain `std::thread`s that call
-//! [`run_worker`] against the ephemeral listen port. The only subprocess
+//! `run_worker` against the ephemeral listen port. The only subprocess
 //! here is `false` standing in for a local worker that dies at once (the
 //! CLI e2e suite covers real worker death); these tests pin down the
 //! protocol, the retry policy split, and CSV byte-identity.
 
+mod common;
+
 use std::sync::mpsc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cochar_colocation::{Heatmap, SweepPolicy};
+use cochar_colocation::{Heatmap, Study, SweepPolicy};
 use cochar_fabric::{
-    run_campaign, run_worker, CampaignSpec, FabricConfig, WirePlan, WorkerChaos, WorkerCmd,
-    WorkerConfig, WorkerSummary,
+    run_campaign, CampaignSpec, FabricConfig, WirePlan, WorkerChaos, WorkerCmd, WorkerConfig,
 };
-
-const NAMES: [&str; 3] = ["blackscholes", "swaptions", "stream"];
-
-fn tiny_spec() -> CampaignSpec {
-    CampaignSpec {
-        machine: "tiny".into(),
-        work: 0.1,
-        threads: 1,
-        trials: 1,
-        seed: 7,
-        msr: 0,
-        names: NAMES.iter().map(|s| s.to_string()).collect(),
-    }
-}
-
-type Worker = JoinHandle<Result<WorkerSummary, String>>;
-
-/// Starts an in-process worker on its own thread. Not scoped: a
-/// hang-chaos worker sleeps forever and must not block test exit.
-fn spawn_worker(cfg: WorkerConfig) -> Worker {
-    std::thread::spawn(move || run_worker(&cfg))
-}
-
-/// Joins the workers once the campaign is over and asserts each one
-/// returned `Ok`. Exactly `hung` of them are expected never to return
-/// (hang chaos); they are left running.
-fn join_workers(mut workers: Vec<Worker>, hung: usize) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while workers.len() > hung && Instant::now() < deadline {
-        let (done, running): (Vec<Worker>, Vec<Worker>) =
-            workers.into_iter().partition(|w| w.is_finished());
-        for w in done {
-            w.join().expect("worker thread").expect("worker exits Ok");
-        }
-        workers = running;
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert_eq!(workers.len(), hung, "workers still running after the campaign");
-}
-
-/// Runs `spec` through the fabric with `n` in-process workers, each
-/// configured by `mk_cfg(i, addr)`, of which `hung` never return.
-fn run_distributed(
-    spec: &CampaignSpec,
-    cfg: FabricConfig,
-    n: usize,
-    hung: usize,
-    mk_cfg: impl Fn(usize, &str) -> WorkerConfig,
-) -> cochar_fabric::FabricOutcome {
-    let (tx, rx) = mpsc::channel();
-    let cfg = FabricConfig { on_bound: Some(tx), ..cfg };
-    let study = spec.build_study(None).expect("spec builds");
-    std::thread::scope(|scope| {
-        let spec2 = spec.clone();
-        let coord = scope.spawn(move || run_campaign(&study, &spec2, &cfg, |_, _| {}));
-        let addr = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("coordinator publishes its address");
-        let workers = (0..n).map(|i| spawn_worker(mk_cfg(i, &addr))).collect();
-        let outcome = coord.join().expect("coordinator thread").expect("campaign succeeds");
-        join_workers(workers, hung);
-        outcome
-    })
-}
-
-fn reference_csv(spec: &CampaignSpec) -> String {
-    let study = spec.build_study(None).expect("spec builds");
-    let names: Vec<&str> = spec.names.iter().map(|s| s.as_str()).collect();
-    Heatmap::compute(&study, &names).to_csv()
-}
+use common::{join_workers, reference_csv, run_distributed, run_on, spawn_worker, tiny_spec, NAMES};
 
 #[test]
 fn distributed_equals_local() {
@@ -101,10 +32,10 @@ fn distributed_equals_local() {
 }
 
 #[test]
-fn workers_sharing_a_label_get_separate_scratch_stores() {
-    // Two in-process workers share a pid and here a label too, so only
-    // the per-process counter keeps their scratch stores (and store
-    // locks) apart; both must serve and exit Ok.
+fn workers_sharing_a_label_both_serve() {
+    // Two in-process workers share a pid and here a label too. Their
+    // stores live in memory, so nothing on disk can collide; the label
+    // is diagnostics only, and both must serve and exit Ok.
     let spec = tiny_spec();
     let outcome = run_distributed(&spec, FabricConfig::default(), 2, 0, |_, addr| {
         let mut c = WorkerConfig::new(addr);
@@ -224,18 +155,14 @@ fn store_backed_campaign_is_cached_on_rerun() {
     let store = cochar_store::RunStore::open(&dir).expect("store opens");
     let study = spec.build_study(Some(store)).expect("spec builds");
 
-    let (tx, rx) = mpsc::channel();
-    let cfg = FabricConfig { on_bound: Some(tx), ..FabricConfig::default() };
-    let first = std::thread::scope(|scope| {
-        let coord = scope.spawn(|| run_campaign(&study, &spec, &cfg, |_, _| {}));
-        let addr = rx.recv_timeout(Duration::from_secs(30)).expect("bound");
-        let worker = spawn_worker(WorkerConfig::new(&addr));
-        let outcome = coord.join().expect("join").expect("campaign succeeds");
-        join_workers(vec![worker], 0);
-        outcome
+    let first = run_on(&study, &spec, FabricConfig::default(), 1, 0, |_, addr| {
+        WorkerConfig::new(addr)
     });
     assert!(first.failures.is_empty());
-    assert!(first.ledger.records_merged > 0, "worker results land in the store");
+    // Each result carries exactly its own cell's run: one record per
+    // cell, none shipped twice.
+    assert_eq!(first.ledger.records_merged as usize, NAMES.len() * NAMES.len());
+    assert_eq!(first.ledger.records_duplicate, 0, "ledger: {:?}", first.ledger);
 
     // Second run over the same store, now with --resume: every cell
     // resolves from cache, no listener, no workers — the CSV is
@@ -251,6 +178,64 @@ fn store_backed_campaign_is_cached_on_rerun() {
 
     drop(study);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts every solo and attempt-0 pair run of `spec` is resident in
+/// `study`'s store, then reruns the campaign with no workers: every cell
+/// must resolve from cache.
+fn assert_store_complete(study: &Study, spec: &CampaignSpec) {
+    let store = study.store().expect("store-backed study");
+    for fg in NAMES {
+        for key in study.solo_keys(fg) {
+            assert!(store.contains(key), "solo {fg} missing from the store");
+        }
+        for bg in NAMES {
+            for key in study.pair_keys(fg, bg, 0) {
+                assert!(store.contains(key), "pair {fg}/{bg} missing from the store");
+            }
+        }
+    }
+    let cfg = FabricConfig { stall_timeout: Duration::from_secs(5), ..FabricConfig::default() };
+    let rerun = run_campaign(study, spec, &cfg, |_, _| {}).expect("cached rerun");
+    assert_eq!(rerun.ledger.cells_cached as usize, NAMES.len() * NAMES.len());
+    assert_eq!(rerun.ledger.leases_issued, 0);
+}
+
+#[test]
+fn store_is_complete_without_a_teardown_merge() {
+    // Runs reach the canonical store only on result frames. A lease lost
+    // to a hung worker, and a result frame swallowed by an injected close
+    // (then resent on reconnect), must still leave every run of the
+    // campaign journaled.
+    let spec = tiny_spec();
+    for tag in ["hang", "close"] {
+        let dir = std::env::temp_dir()
+            .join(format!("cochar-fabric-test-complete-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = cochar_store::RunStore::open(&dir).expect("store opens");
+        let study = spec.build_study(Some(store)).expect("spec builds");
+        let (workers, hung) = if tag == "hang" { (2, 1) } else { (1, 0) };
+        let cfg = FabricConfig {
+            lease_timeout: Duration::from_millis(400),
+            ..FabricConfig::default()
+        };
+        let outcome = run_on(&study, &spec, cfg, workers, hung, |i, addr| {
+            let mut c = WorkerConfig::new(addr);
+            c.label = format!("w{i}");
+            if tag == "hang" {
+                c.chaos_worker =
+                    Some(WorkerChaos::Hang { fg: "swaptions".into(), bg: "stream".into() });
+            } else {
+                c.chaos_wire = Some(WirePlan::parse("close@1").unwrap());
+            }
+            c
+        });
+        assert!(outcome.failures.is_empty(), "{tag}: failures: {:?}", outcome.failures);
+        assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec), "{tag}");
+        assert_store_complete(&study, &spec);
+        drop(study);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

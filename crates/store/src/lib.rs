@@ -60,6 +60,8 @@ pub enum StoreError {
     Corrupt(String),
     /// Another live process holds the store's writer lock.
     Locked(String),
+    /// The store is in memory: it has no journal to verify or compact.
+    InMemory,
 }
 
 impl fmt::Display for StoreError {
@@ -69,6 +71,7 @@ impl fmt::Display for StoreError {
             StoreError::Schema(msg) => write!(f, "store schema: {msg}"),
             StoreError::Corrupt(msg) => write!(f, "store record: {msg}"),
             StoreError::Locked(msg) => write!(f, "store locked: {msg}"),
+            StoreError::InMemory => f.write_str("store is in memory: it has no journal"),
         }
     }
 }

@@ -81,16 +81,35 @@ pub struct MergeReport {
 
 struct Inner {
     index: HashMap<RunKey, Arc<RunOutcome>>,
+    /// The journal and its writer lock; `None` for an in-memory store.
+    disk: Option<Disk>,
+}
+
+struct Disk {
     journal: Journal,
     /// Held for the store's whole lifetime; released (file removed) when
     /// the last clone drops.
     _lock: crate::lock::StoreLock,
 }
 
+impl Inner {
+    /// Journals (on disk) and installs a record that is not resident yet.
+    fn insert(&mut self, key: RunKey, outcome: Arc<RunOutcome>) -> Result<(), StoreError> {
+        if let Some(disk) = &mut self.disk {
+            disk.journal.append(key, &outcome)?;
+        }
+        self.index.insert(key, outcome);
+        Ok(())
+    }
+}
+
 /// A content-addressed, crash-safe store of run outcomes.
 ///
 /// Thread-safe: sweeps call [`RunStore::get`] / [`RunStore::put`]
 /// concurrently from worker threads. Clones share the same store.
+///
+/// A store from [`RunStore::in_memory`] is the same index with no
+/// directory behind it: nothing is journaled, locked or written.
 #[derive(Clone)]
 pub struct RunStore {
     inner: Arc<Mutex<Inner>>,
@@ -139,14 +158,29 @@ impl RunStore {
             |key, outcome| index.insert(key, Arc::new(outcome)).is_none(),
             wrap,
         )?;
+        let disk = Some(Disk { journal, _lock: lock });
         Ok(RunStore {
-            inner: Arc::new(Mutex::new(Inner { index, journal, _lock: lock })),
+            inner: Arc::new(Mutex::new(Inner { index, disk })),
             dir,
             replay,
+            ..Self::in_memory()
+        })
+    }
+
+    /// A store that lives only in this process: `put`, `get`, `contains`,
+    /// `merge_records` and `entries` answer as on disk, but there is no
+    /// directory, journal, schema file or lock. [`RunStore::dir`] is empty,
+    /// and [`RunStore::verify`] and [`RunStore::gc`] fail with
+    /// [`StoreError::InMemory`].
+    pub fn in_memory() -> RunStore {
+        RunStore {
+            inner: Arc::new(Mutex::new(Inner { index: HashMap::new(), disk: None })),
+            dir: PathBuf::new(),
+            replay: ReplayReport::default(),
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
             puts: Arc::new(AtomicU64::new(0)),
-        })
+        }
     }
 
     /// Validates (writing on first open) the store's schema marker so a
@@ -171,9 +205,14 @@ impl RunStore {
         }
     }
 
-    /// The directory this store lives in.
+    /// The directory this store lives in (empty for an in-memory store).
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// True for a store from [`RunStore::in_memory`].
+    pub fn is_in_memory(&self) -> bool {
+        self.inner.lock().unwrap().disk.is_none()
     }
 
     /// What replay found when the store was opened.
@@ -212,8 +251,7 @@ impl RunStore {
         if inner.index.contains_key(&key) {
             return Ok(());
         }
-        inner.journal.append(key, &outcome)?;
-        inner.index.insert(key, outcome);
+        inner.insert(key, outcome)?;
         self.puts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -236,8 +274,9 @@ impl RunStore {
         v
     }
 
-    /// Merges foreign records (another store's replayed journal, records
-    /// off the fabric wire) into this store under one index lock.
+    /// Merges foreign records (another journal's
+    /// [`read_records`](crate::journal::read_records), records off the
+    /// fabric wire) into this store under one index lock.
     ///
     /// Pure dedup by fingerprint: a key already resident is counted as a
     /// duplicate and skipped — outcomes are deterministic functions of
@@ -255,26 +294,11 @@ impl RunStore {
                 report.duplicates += 1;
                 continue;
             }
-            inner.journal.append(key, &outcome)?;
-            inner.index.insert(key, outcome);
+            inner.insert(key, outcome)?;
             self.puts.fetch_add(1, Ordering::Relaxed);
             report.added += 1;
         }
         Ok(report)
-    }
-
-    /// Merges every trustworthy record of the journal file at `path`
-    /// (typically a dead worker's store) into this store. The file is
-    /// only read — torn tails and corrupt lines are dropped exactly as a
-    /// replay would, and reported alongside the merge tallies.
-    pub fn merge_journal(
-        &self,
-        path: &Path,
-    ) -> Result<(MergeReport, crate::journal::ReplayReport), StoreError> {
-        let (records, replay) = crate::journal::read_records(path)?;
-        let report =
-            self.merge_records(records.into_iter().map(|(k, o)| (k, Arc::new(o))))?;
-        Ok((report, replay))
     }
 
     /// Counter snapshot.
@@ -291,7 +315,10 @@ impl RunStore {
     /// disturbing the live index. Returns what a fresh open would see.
     pub fn verify(&self) -> Result<ReplayReport, StoreError> {
         // Hold the lock so no append interleaves with the scan.
-        let _guard = self.inner.lock().unwrap();
+        let guard = self.inner.lock().unwrap();
+        if guard.disk.is_none() {
+            return Err(StoreError::InMemory);
+        }
         let mut seen = std::collections::HashSet::new();
         let (_, report) = Journal::open(&self.dir, |key, _| seen.insert(key))?;
         Ok(report)
@@ -302,12 +329,14 @@ impl RunStore {
     /// bytes before and after.
     pub fn gc(&self) -> Result<(u64, u64), StoreError> {
         let mut inner = self.inner.lock().unwrap();
-        let before = inner.journal.file_bytes()?;
-        let mut records: Vec<(RunKey, Arc<RunOutcome>)> =
-            inner.index.iter().map(|(k, o)| (*k, Arc::clone(o))).collect();
+        let Inner { index, disk } = &mut *inner;
+        let journal = &mut disk.as_mut().ok_or(StoreError::InMemory)?.journal;
+        let before = journal.file_bytes()?;
+        let mut records: Vec<(RunKey, &RunOutcome)> =
+            index.iter().map(|(k, o)| (*k, o.as_ref())).collect();
         records.sort_by_key(|(k, _)| *k);
-        inner.journal.rewrite(records.iter().map(|(k, o)| (*k, o.as_ref())))?;
-        let after = inner.journal.file_bytes()?;
+        journal.rewrite(records.into_iter())?;
+        let after = journal.file_bytes()?;
         Ok((before, after))
     }
 }

@@ -1,17 +1,18 @@
 //! Merge properties of the run store — the invariant the sweep fabric
-//! leans on: merging K shuffled, overlapping worker journals (some with
-//! torn tails from kill-mid-append fault plans) into a canonical store is
-//! **idempotent** and produces exactly the deduped union of every record
-//! a worker durably appended. Content addressing makes this safe: two
-//! journals never disagree about a key, they either both have the
-//! identical record or one is missing it.
+//! leans on: merging K shuffled, overlapping journals (read with
+//! `read_records`, some with torn tails from kill-mid-append fault plans)
+//! into a canonical store with `merge_records` is **idempotent** and
+//! produces exactly the deduped union of every record a writer durably
+//! appended. Content addressing makes this safe: two journals never
+//! disagree about a key, they either both have the identical record or
+//! one is missing it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cochar_machine::RunOutcome;
 use cochar_store::journal::JOURNAL_FILE;
-use cochar_store::{Fault, FaultPlan, RunKey, RunStore};
+use cochar_store::{read_records, Fault, FaultPlan, MergeReport, ReplayReport, RunKey, RunStore};
 use proptest::prelude::*;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -36,6 +37,13 @@ fn outcome_for(key: u64) -> Arc<RunOutcome> {
         epoch_cycles: 1,
         freq_ghz: 2.7,
     })
+}
+
+/// Merges every trustworthy record of the journal in `dir` into `canon`.
+fn merge_dir(canon: &RunStore, dir: &std::path::Path) -> (MergeReport, ReplayReport) {
+    let (records, replay) = read_records(&dir.join(JOURNAL_FILE)).unwrap();
+    let report = canon.merge_records(records.into_iter().map(|(k, o)| (k, Arc::new(o)))).unwrap();
+    (report, replay)
 }
 
 /// Deterministic shuffle (Fisher–Yates over a SplitMix64 stream).
@@ -99,8 +107,7 @@ proptest! {
         let mut first_dups = 0u64;
         shuffle(&mut order, order_seed);
         for &w in &order {
-            let (report, replay) =
-                canon.merge_journal(&worker_dirs[w].join(JOURNAL_FILE)).unwrap();
+            let (report, replay) = merge_dir(&canon, &worker_dirs[w]);
             first_added += report.added;
             first_dups += report.duplicates;
             // A kill tears at most the one dying record.
@@ -111,8 +118,7 @@ proptest! {
 
         shuffle(&mut order, order_seed.wrapping_add(1));
         for &w in &order {
-            let (report, _) =
-                canon.merge_journal(&worker_dirs[w].join(JOURNAL_FILE)).unwrap();
+            let (report, _) = merge_dir(&canon, &worker_dirs[w]);
             prop_assert_eq!(report.added, 0, "second merge must add nothing");
         }
 
