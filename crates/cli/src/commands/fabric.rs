@@ -123,7 +123,7 @@ fn report(
     print_sweep(opts, study, &outcome.heatmap, &outcome.failures)?;
     let l = &outcome.ledger;
     let cells = spec.names.len() * spec.names.len();
-    let pair_secs = outcome.pair_wall.as_secs_f64();
+    let secs = outcome.pair_wall.as_secs_f64();
     if let Some(prior) = &outcome.resumed {
         println!(
             "fabric: resumed after {} prior run(s) ({} lease(s) issued before this run)",
@@ -143,10 +143,8 @@ fn report(
         l.records_merged, l.records_duplicate, l.results_duplicate, l.wire_faults
     );
     println!(
-        "fabric: solo phase {:.2}s, pair phase {:.2}s ({:.2} cells/s)",
-        outcome.solo_wall.as_secs_f64(),
-        pair_secs,
-        if pair_secs > 0.0 { cells as f64 / pair_secs } else { 0.0 }
+        "fabric: campaign phase {secs:.2}s ({:.2} cells/s)",
+        if secs > 0.0 { cells as f64 / secs } else { 0.0 }
     );
     if let Some(store) = study.store() {
         println!("store: {} resident in {}", store.len(), store.dir().display());

@@ -15,7 +15,7 @@ pub struct Opts {
     switches: Vec<String>,
 }
 
-/// Flags that take a value (everything else is a boolean switch).
+/// Flags that take a value.
 const VALUED: [&str; 39] = [
     "machine", "work", "threads", "trials", "seed", "csv", "policy", "pads", "max-threads",
     "train-frac", "train-apps", "lambda", "json", "store", "max-retries",
@@ -27,6 +27,12 @@ const VALUED: [&str; 39] = [
     // cluster scenario flags
     "nodes", "slots", "jobs", "rate", "util", "qos", "slo", "compose", "knowledge",
     "trace", "trace-out", "defrag-period", "mean-work",
+];
+
+/// Boolean switches the commands read; any other flag is an error.
+const SWITCHES: [&str; 10] = [
+    "breakdown", "campaign", "check", "cluster", "fail-fast", "keep-going", "no-cache",
+    "predict", "resume", "validate",
 ];
 
 impl Opts {
@@ -49,8 +55,10 @@ impl Opts {
                             .clone(),
                     };
                     opts.flags.insert(name, value);
-                } else {
+                } else if SWITCHES.contains(&name.as_str()) {
                     opts.switches.push(name);
+                } else {
+                    return Err(format!("unknown flag --{name}"));
                 }
             } else if opts.command.is_empty() {
                 opts.command = arg.clone();
@@ -115,6 +123,18 @@ mod tests {
         assert_eq!(o.flag_parse("trials", 3u32).unwrap(), 3);
         let bad = parse("solo x --work abc");
         assert!(bad.flag_parse("work", 1.0f64).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for (line, flag) in [
+            ("fabric work --worker-store d", "--worker-store"),
+            ("heatmap a b --keepgoing", "--keepgoing"),
+            ("pair --x=1", "--x"),
+        ] {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            assert_eq!(Opts::parse(&args).unwrap_err(), format!("unknown flag {flag}"));
+        }
     }
 
     #[test]

@@ -68,10 +68,17 @@ fn mean_stretch(report: &Json, policy: &str, knowledge: &str) -> f64 {
     run.field("mean_stretch").unwrap().as_f64().unwrap()
 }
 
+/// A fresh scratch directory private to this test process.
+fn tmpdir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("cochar-cluster-e2e-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[test]
 fn compare_is_deterministic_and_interference_awareness_pays() {
-    let dir = std::env::temp_dir().join("cochar-cluster-e2e-compare");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("compare");
     let j1 = dir.join("r1.json");
     let j2 = dir.join("r2.json");
     let c1 = dir.join("r1.csv");
@@ -111,12 +118,12 @@ fn compare_is_deterministic_and_interference_awareness_pays() {
     let csv = std::fs::read_to_string(&c1).unwrap();
     assert_eq!(csv.lines().count(), 1 + 12, "csv rows:\n{csv}");
     assert!(csv.starts_with("policy,knowledge,mean_stretch"));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn run_reports_one_policy_and_traces_round_trip() {
-    let dir = std::env::temp_dir().join("cochar-cluster-e2e-run");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("run");
     let trace = dir.join("jobs.trace");
     let j1 = dir.join("gen.json");
     let j2 = dir.join("replay.json");
@@ -163,6 +170,7 @@ fn run_reports_one_policy_and_traces_round_trip() {
     let a = mean_stretch(&gen, "first-fit", "measured");
     let b = mean_stretch(&replay, "first-fit", "measured");
     assert!((a - b).abs() < 1e-3, "trace replay diverged: {a} vs {b}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -41,9 +41,10 @@ fn sweep_csv_is_byte_identical_to_heatmap() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("fabric: workers 2"), "missing ledger:\n{text}");
     assert!(text.contains("leases issued"), "missing ledger:\n{text}");
-    // Results carry only their own cell's run, and no worker journal is
-    // merged again at teardown: one record per cell, no duplicates.
-    assert!(text.contains("records merged 4, duplicates 0"), "merge counts:\n{text}");
+    // Results carry only their own cell's runs — a row's first cell also
+    // its foreground's solo — and no worker journal is merged again at
+    // teardown: one record per cell plus one per solo, no duplicates.
+    assert!(text.contains("records merged 6, duplicates 0"), "merge counts:\n{text}");
 
     let mut heat = vec!["heatmap"];
     heat.extend(APPS);
@@ -171,6 +172,15 @@ fn fabric_work_without_coordinator_fails_cleanly() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("connect"), "unhelpful error:\n{err}");
+    // A flag the worker does not take is refused by name, not ignored.
+    let out = cochar_dir(
+        &["fabric", "work", "--worker-store", "d", "--connect", "127.0.0.1:1"],
+        &dir,
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --worker-store"), "unnamed flag:\n{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -183,8 +193,8 @@ fn worker_started_before_serve_wins_the_race() {
     drop(listener);
 
     // Start the worker FIRST: nothing is listening yet. Its bounded
-    // connect retry must carry it across the coordinator's startup,
-    // including the solo phase that runs before the listener binds.
+    // connect retry must carry it across the coordinator's startup, up
+    // to the moment the listener binds.
     let mut worker = Command::new(env!("CARGO_BIN_EXE_cochar"))
         .args(["fabric", "work", "--connect", &addr, "--connect-retry-ms", "20000"])
         .current_dir(&dir)

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::classify::{classify, PairClass};
 use crate::study::Study;
-use crate::sweep::{supervised_map, CellFailure, SweepPolicy, SweepReport};
+use crate::sweep::{supervised_map, CellFailure, Supervisor, SweepPolicy, SweepReport};
 
 /// Measurement quality of one heatmap cell.
 ///
@@ -53,6 +53,16 @@ impl Heatmap {
     /// distributed fabric, so their result indexing agrees.
     pub fn pair_cells(n: usize) -> Vec<(usize, usize)> {
         (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect()
+    }
+
+    /// The campaign over [`Heatmap::pair_cells`]`(n)` that both executors
+    /// drive. Cell `(i, 0)` gates the rest of row `i`: it computes
+    /// foreground `i`'s solo run, the denominator of every cell in the
+    /// row, so the row's other cells find it cached instead of each
+    /// simulating it again.
+    pub fn campaign(n: usize, policy: SweepPolicy) -> Supervisor<(f64, CellStatus)> {
+        let gates = (0..n * n).map(|k| (k % n != 0).then_some(k - k % n)).collect();
+        Supervisor::new(gates, policy)
     }
 
     /// Assembles a heatmap from individually settled cells. Cells never
@@ -145,10 +155,9 @@ impl Heatmap {
         policy: SweepPolicy,
         on_cell: impl Fn(usize, usize) + Sync,
     ) -> (Heatmap, Vec<CellFailure>) {
-        study.preseed_solos(names);
         let report = supervised_map(
             &Self::pair_cells(names.len()),
-            policy,
+            Self::campaign(names.len(), policy),
             |k, _| Self::cell_label(names, k),
             |&(i, j), attempt| Self::measure_cell(study, names[i], names[j], attempt),
             on_cell,

@@ -306,9 +306,10 @@ impl Study {
     /// would run, or empty when the runs cannot be keyed (unknown name —
     /// the caller decides how loud to be about that).
     ///
-    /// This is the fabric's pre-seeding hook: the coordinator looks these
-    /// keys up after computing the solos and ships the matching journal
-    /// records to workers, which then answer every solo from cache.
+    /// The fabric moves solo runs by these keys: a lease carries the
+    /// canonical store's records for its foreground's solo, a result
+    /// carries the ones a worker ran itself, and the coordinator answers
+    /// a cell from cache only when its solo keys are resident too.
     pub fn solo_keys(&self, name: &str) -> Vec<RunKey> {
         let Some(spec) = self.registry.get(name) else { return Vec::new() };
         (0..self.trials)
@@ -436,17 +437,6 @@ impl Study {
     /// Runs `name` alone with the study's thread count (cached).
     pub fn solo(&self, name: &str) -> Arc<SoloResult> {
         self.solo_with_threads(name, self.threads)
-    }
-
-    /// Warms the solo cache for a campaign over `names`, in order (every
-    /// pair cell divides by its foreground's solo). A solo that panics is
-    /// ignored: the pair cells that need it fail under their own labels.
-    pub fn preseed_solos(&self, names: &[impl AsRef<str>]) {
-        for name in names {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.solo(name.as_ref())
-            }));
-        }
     }
 
     /// Runs `name` alone with an explicit thread count (cached).
@@ -614,7 +604,7 @@ mod tests {
 
         // Every key solo_keys/pair_keys predicts must be exactly what the
         // corresponding run journals — that contract is what lets the
-        // fabric pre-seed workers and resolve cached cells by key.
+        // fabric move solo runs on leases and resolve cached cells by key.
         let _ = s.solo("blackscholes");
         let solo_keys = s.solo_keys("blackscholes");
         assert_eq!(solo_keys.len(), 2, "one key per trial");

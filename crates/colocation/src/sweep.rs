@@ -1,17 +1,18 @@
 //! Parallel sweep driver for independent simulations.
 //!
 //! Every cell of the 25 x 25 heatmap (and every point of the scalability
-//! and sensitivity sweeps) is an independent simulation. The campaign
-//! rules live in one type, the [`Supervisor`]: the cell queue, the
-//! [`SweepPolicy`] retry budget (with the attempt number threaded into
-//! the cell function for deterministic reseeding), the final
-//! [`CellFailure`], the fail-fast skip of unclaimed cells, and the
-//! settle-once check. Two executors drive it: [`supervised_map`], a pool
-//! of host threads that runs each cell under `catch_unwind` — so one
-//! panicking simulation cannot take down the other 624 cells of a
-//! heatmap — and the distributed fabric's coordinator. Failures come back
-//! as data, leaving callers to decide between holes in the output
-//! (`--keep-going`) and stopping the sweep (`--fail-fast`).
+//! and sensitivity sweeps) is a simulation of its own. The campaign
+//! rules live in one type, the [`Supervisor`]: the cell queue, the cells
+//! held behind a prerequisite, the [`SweepPolicy`] retry budget (with the
+//! attempt number threaded into the cell function for deterministic
+//! reseeding), the final [`CellFailure`], the fail-fast skip of unclaimed
+//! cells, and the settle-once check. Two executors drive it:
+//! [`supervised_map`], a pool of host threads that runs each cell under
+//! `catch_unwind` — so one panicking simulation cannot take down the
+//! other 624 cells of a heatmap — and the distributed fabric's
+//! coordinator. Failures come back as data, leaving callers to decide
+//! between holes in the output (`--keep-going`) and stopping the sweep
+//! (`--fail-fast`).
 //!
 //! Executors pin slot `i` to the `i`-th CPU the process is allowed to
 //! run on, round-robin ([`pin_slot`]): sweep cells are themselves
@@ -21,7 +22,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One cell that exhausted its attempts (or was skipped by fail-fast).
 #[derive(Clone, Debug)]
@@ -149,11 +150,17 @@ enum Slot<R> {
 /// only for the cell's newest ticket, so a late report from a superseded
 /// ticket never queues a second copy of a cell; a late *value* still
 /// settles an open cell, since every attempt is deterministic.
+///
+/// A cell may name another cell as its prerequisite (its *gate*): it is
+/// held, not handed out, until the gate settles, with a value or a final
+/// failure. Fail-fast skips held cells like queued ones.
 #[derive(Debug)]
 pub struct Supervisor<R> {
     policy: SweepPolicy,
     queue: VecDeque<Ticket>,
     slots: Vec<Slot<R>>,
+    /// The cells each cell gates, queued when it settles.
+    held: Vec<Vec<usize>>,
     /// Cells settled by a value or a final failure (progress).
     completed: usize,
     /// Cells skipped by fail-fast.
@@ -163,12 +170,23 @@ pub struct Supervisor<R> {
 }
 
 impl<R> Supervisor<R> {
-    /// A campaign of `total` cells, all queued at attempt 0, in order.
-    pub fn new(total: usize, policy: SweepPolicy) -> Self {
-        let queue: VecDeque<Ticket> =
-            (0..total).map(|index| Ticket { index, attempt: 0, issue: 0 }).collect();
-        let slots = queue.iter().map(|&t| Slot::Open(t)).collect();
-        Supervisor { policy, queue, slots, completed: 0, skipped: 0, stopped: false }
+    /// A campaign of `gates.len()` cells, all at attempt 0: cell `k` is
+    /// queued in order when `gates[k]` is `None`, else held until cell
+    /// `gates[k]` settles. The gates must not form a cycle, or the cells
+    /// on it are never handed out.
+    pub fn new(gates: Vec<Option<usize>>, policy: SweepPolicy) -> Self {
+        let total = gates.len();
+        let mut queue = VecDeque::new();
+        let mut held = vec![Vec::new(); total];
+        for (index, gate) in gates.into_iter().enumerate() {
+            match gate {
+                None => queue.push_back(Ticket { index, attempt: 0, issue: 0 }),
+                Some(g) => held[g].push(index),
+            }
+        }
+        let slots =
+            (0..total).map(|index| Slot::Open(Ticket { index, attempt: 0, issue: 0 })).collect();
+        Supervisor { policy, queue, slots, held, completed: 0, skipped: 0, stopped: false }
     }
 
     /// The next ticket to run, if any. `None` once the queue is empty
@@ -195,6 +213,7 @@ impl<R> Supervisor<R> {
         }
         self.slots[index] = Slot::Done(value);
         self.completed += 1;
+        self.release(index);
         Reported::Settled(self.completed)
     }
 
@@ -260,22 +279,37 @@ impl<R> Supervisor<R> {
     }
 
     fn skip(&mut self, index: usize) {
-        self.slots[index] =
-            Slot::Failed { cause: "skipped (fail-fast)".to_string(), attempts: 0 };
-        self.skipped += 1;
+        if matches!(self.slots[index], Slot::Open(_)) {
+            self.slots[index] =
+                Slot::Failed { cause: "skipped (fail-fast)".to_string(), attempts: 0 };
+            self.skipped += 1;
+        }
+    }
+
+    /// Queues the cells `gate` held, now that it has settled, in order at
+    /// the front: they were next in line when the gate was handed out,
+    /// and sending them to the back would run a slow gate's (often slow)
+    /// cells last, as the campaign's tail.
+    fn release(&mut self, gate: usize) {
+        for index in std::mem::take(&mut self.held[gate]).into_iter().rev() {
+            if let Slot::Open(t) = self.slots[index] {
+                self.queue.push_front(t);
+            }
+        }
     }
 
     /// Records a final failure; under fail-fast, stops the campaign and
-    /// skips every queued cell.
+    /// skips every queued and held cell.
     fn settle_failure(&mut self, index: usize, cause: String, attempts: u32) -> Reported {
         self.slots[index] = Slot::Failed { cause, attempts };
         self.completed += 1;
+        self.release(index);
         if !self.policy.keep_going {
             self.stopped = true;
-            while let Some(t) = self.queue.pop_front() {
-                if matches!(self.slots[t.index], Slot::Open(_)) {
-                    self.skip(t.index);
-                }
+            let held: Vec<usize> = self.held.iter_mut().flat_map(std::mem::take).collect();
+            let queued = std::mem::take(&mut self.queue).into_iter().map(|t| t.index);
+            for index in queued.chain(held) {
+                self.skip(index);
             }
         }
         Reported::Settled(self.completed)
@@ -289,9 +323,21 @@ fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Wakes the waiting pool threads when its thread leaves the pool, by
+/// unwinding too: a panic outside a cell (in `on_done`, say) poisons the
+/// supervisor, and the woken threads then leave instead of waiting for a
+/// report that never comes.
+struct WakeOnExit<'a>(&'a Condvar);
+
+impl Drop for WakeOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.notify_all();
+    }
+}
+
 /// Maps `f` over `items` under panic isolation with retries, on a pool
-/// of up to `available_parallelism` pinned threads driving one
-/// [`Supervisor`].
+/// of up to `available_parallelism` pinned threads driving `sup`, a
+/// campaign of `items.len()` cells.
 ///
 /// `spec_label(i, item)` names cell `i` for failure records;
 /// `f(item, attempt)` runs one attempt (attempt 0 first); `on_done`
@@ -299,7 +345,7 @@ fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// fail-fast skips, so progress counts real work. Ticks arrive in order.
 pub fn supervised_map<T, R, L, F, P>(
     items: &[T],
-    policy: SweepPolicy,
+    sup: Supervisor<R>,
     spec_label: L,
     f: F,
     on_done: P,
@@ -312,31 +358,43 @@ where
     P: Fn(usize, usize) + Sync,
 {
     let total = items.len();
-    let sup = Mutex::new(Supervisor::new(total, policy));
+    assert_eq!(sup.slots.len(), total, "one supervisor cell per item");
+    let sup = Mutex::new(sup);
+    // Signalled after every report: a settled gate or a requeue may have
+    // queued work, and the last settlement ends the campaign.
+    let reported = Condvar::new();
     let threads = std::thread::available_parallelism()
         .map(|x| x.get())
         .unwrap_or(1)
         .min(total.max(1));
     std::thread::scope(|s| {
         for slot in 0..threads {
-            let (sup, f, on_done) = (&sup, &f, &on_done);
+            let (sup, reported, f, on_done) = (&sup, &reported, &f, &on_done);
             s.spawn(move || {
                 // Best-effort: an unpinnable thread still sweeps.
                 pin_slot(slot);
-                // A thread leaves once nothing is queued; a ticket that
-                // another thread requeues is run by that thread itself.
-                loop {
-                    // Not `while let`: its guard would live through the cell.
-                    let Some(t) = lock_tolerant(sup).take() else { break };
-                    let run = catch_unwind(AssertUnwindSafe(|| f(&items[t.index], t.attempt)));
-                    let mut sup = lock_tolerant(sup);
-                    let reported = match run {
-                        Ok(r) => sup.succeed(t.index, r),
-                        Err(payload) => sup.fail(t, panic_message(payload.as_ref())),
+                // A thread with nothing to take waits rather than leaves
+                // while cells are unsettled: held cells are released
+                // only when their gate settles, and a whole released row
+                // must not fall to one thread.
+                let _wake = WakeOnExit(reported);
+                let mut guard = lock_tolerant(sup);
+                while guard.unsettled() > 0 && !sup.is_poisoned() {
+                    let Some(t) = guard.take() else {
+                        guard = reported.wait(guard).unwrap_or_else(PoisonError::into_inner);
+                        continue;
                     };
-                    if let Reported::Settled(done) = reported {
+                    drop(guard);
+                    let run = catch_unwind(AssertUnwindSafe(|| f(&items[t.index], t.attempt)));
+                    guard = lock_tolerant(sup);
+                    let outcome = match run {
+                        Ok(r) => guard.succeed(t.index, r),
+                        Err(payload) => guard.fail(t, panic_message(payload.as_ref())),
+                    };
+                    if let Reported::Settled(done) = outcome {
                         on_done(done, total);
                     }
+                    reported.notify_all();
                 }
             });
         }
@@ -360,7 +418,7 @@ where
 {
     supervised_map(
         items,
-        SweepPolicy::default(),
+        Supervisor::new(vec![None; items.len()], SweepPolicy::default()),
         |i, _| format!("cell {i}"),
         |item, _attempt| f(item),
         |_, _| {},
@@ -437,11 +495,17 @@ pub mod affinity {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use proptest::prelude::*;
 
     use super::*;
+
+    /// A campaign of `total` cells with no gates.
+    fn flat<R>(total: usize, policy: SweepPolicy) -> Supervisor<R> {
+        Supervisor::new(vec![None; total], policy)
+    }
 
     /// On Linux the process must be allowed on at least one CPU, and
     /// pinning a thread to an allowed CPU must succeed. Run on a scratch
@@ -497,7 +561,7 @@ mod tests {
         let items: Vec<u64> = (0..40).collect();
         let report = supervised_map(
             &items,
-            SweepPolicy::default(),
+            flat(items.len(), SweepPolicy::default()),
             |_, &x| format!("item {x}"),
             |&x, _| {
                 if x == 13 {
@@ -525,7 +589,7 @@ mod tests {
         let calls = AtomicU64::new(0);
         let report = supervised_map(
             &[5u64],
-            SweepPolicy { max_retries: 2, keep_going: true },
+            flat(1, SweepPolicy { max_retries: 2, keep_going: true }),
             |i, _| format!("cell {i}"),
             |&x, attempt| {
                 calls.fetch_add(1, Ordering::Relaxed);
@@ -544,7 +608,7 @@ mod tests {
     fn exhausted_retries_report_the_last_cause_and_attempt_count() {
         let report = supervised_map(
             &[1u64],
-            SweepPolicy { max_retries: 1, keep_going: true },
+            flat(1, SweepPolicy { max_retries: 1, keep_going: true }),
             |i, _| format!("cell {i}"),
             |_, attempt| -> u64 { panic!("always broken (attempt {attempt})") },
             |_, _| {},
@@ -562,7 +626,7 @@ mod tests {
         let items: Vec<u64> = (0..200).collect();
         let report = supervised_map(
             &items,
-            SweepPolicy { max_retries: 0, keep_going: false },
+            flat(items.len(), SweepPolicy { max_retries: 0, keep_going: false }),
             |i, _| format!("cell {i}"),
             |_, _| -> u64 { panic!("doomed") },
             |_, _| {},
@@ -590,7 +654,7 @@ mod tests {
             let items: Vec<u64> = (0..len).collect();
             let report = supervised_map(
                 &items,
-                SweepPolicy::default(),
+                flat(items.len(), SweepPolicy::default()),
                 |i, _| format!("cell {i}"),
                 |&x, _| {
                     if every.is_some_and(|n| x % n == 0) {
@@ -618,6 +682,56 @@ mod tests {
     }
 
     #[test]
+    fn a_released_row_spreads_over_the_pool() {
+        // Eight cells held behind one head, every cell ~20 ms: pool
+        // threads that found nothing to take while the head ran must
+        // still be there to share the released cells, not leave the row
+        // to one thread.
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return;
+        }
+        let ran_on = Mutex::new(std::collections::HashSet::new());
+        let gates = std::iter::once(None).chain([Some(0); 8]).collect();
+        let items: Vec<u64> = (0..9).collect();
+        let report = supervised_map(
+            &items,
+            Supervisor::new(gates, SweepPolicy::default()),
+            |i, _| format!("cell {i}"),
+            |&x, _| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                if x > 0 {
+                    ran_on.lock().unwrap().insert(std::thread::current().id());
+                }
+                x
+            },
+            |_, _| {},
+        );
+        assert_eq!(report.unwrap_all(), items);
+        let threads = ran_on.lock().unwrap().len();
+        assert!(threads >= 2, "released cells ran on {threads} thread(s)");
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panic_outside_a_cell_ends_the_pool() {
+        // Threads waiting on held cells must not outlive a pool thread
+        // that panicked with the cells' head in hand: the sweep fails
+        // instead of hanging.
+        let gates = std::iter::once(None).chain([Some(0); 4]).collect();
+        let items: Vec<u64> = (0..5).collect();
+        let _ = supervised_map(
+            &items,
+            Supervisor::new(gates, SweepPolicy::default()),
+            |i, _| format!("cell {i}"),
+            |&x, _| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                x
+            },
+            |_, _| panic!("progress callback"),
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "sweep cell cell 3 failed")]
     fn simple_api_still_fails_loudly_on_a_panicking_cell() {
         let items: Vec<u64> = (0..8).collect();
@@ -638,31 +752,46 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The campaign rules under any interleaving an executor can
-        /// produce, with no threads and no clocks: steps take a ticket,
-        /// report one handed-out ticket as a success, a panic or a lost
-        /// lease, or replay an old report late (a resent or duplicated
-        /// result). A final drain then succeeds everything still open.
+        /// produce, with no threads and no clocks, over cells that may be
+        /// held behind a drawn prerequisite: steps take a ticket, report
+        /// one handed-out ticket as a success, a panic or a lost lease,
+        /// or replay an old report late (a resent or duplicated result).
+        /// A final drain then succeeds everything still open.
         #[test]
         fn supervisor_settles_every_cell_once_under_any_schedule(
             total in 0usize..10,
             max_retries in 0u32..3,
             max_issues in 0u32..3,
             keep_going in any::<bool>(),
+            gate_picks in prop::collection::vec(any::<u64>(), 10),
             steps in prop::collection::vec((0u8..5, any::<u64>()), 0..80),
         ) {
+            // One prerequisite per cell, or none (a pick of `total`); a
+            // gate's own gate is always `None`, so the gating is acyclic.
+            let mut gates: Vec<Option<usize>> = vec![None; total];
+            for k in 0..total {
+                let g = (gate_picks[k] % (total as u64 + 1)) as usize;
+                if g < total && g != k && gates[g].is_none() && !gates.contains(&Some(k)) {
+                    gates[k] = Some(g);
+                }
+            }
             let mut sup: Supervisor<u64> =
-                Supervisor::new(total, SweepPolicy { max_retries, keep_going });
+                Supervisor::new(gates.clone(), SweepPolicy { max_retries, keep_going });
             let mut out: Vec<Ticket> = Vec::new(); // handed out, unreported
             let mut past: Vec<Ticket> = Vec::new(); // reported or lost
-            let mut settles = vec![0usize; total];
+            let settles: Vec<Cell<usize>> = vec![Cell::new(0); total];
             let mut values: Vec<Option<u64>> = vec![None; total];
             let mut ticks = 0usize;
-            let stopped = std::cell::Cell::new(false); // fail-fast fired
+            let stopped = Cell::new(false); // fail-fast fired
+            let mut held_at_stop: Vec<usize> = Vec::new();
 
             let take = |sup: &mut Supervisor<u64>, out: &mut Vec<Ticket>| {
                 let t = sup.take();
                 prop_assert!(t.is_none() || !stopped.get(), "{t:?} handed out after fail-fast");
                 let t = t?;
+                if let Some(g) = gates[t.index] {
+                    prop_assert_eq!(settles[g].get(), 1, "{:?} taken before gate {} settled", t, g);
+                }
                 prop_assert!(t.attempt <= max_retries, "{t:?} past the retry budget");
                 prop_assert!(t.issue <= max_issues, "{t:?} past the issue budget");
                 prop_assert!(!out.contains(&t), "{t:?} handed out twice");
@@ -673,14 +802,17 @@ mod tests {
                 Reported::Settled(n) => {
                     ticks += 1;
                     prop_assert_eq!(n, ticks, "progress counts settlements in order");
-                    settles[t.index] += 1;
-                    prop_assert_eq!(settles[t.index], 1, "cell {} settled twice", t.index);
+                    let cell = &settles[t.index];
+                    cell.set(cell.get() + 1);
+                    prop_assert_eq!(cell.get(), 1, "cell {} settled twice", t.index);
                     values[t.index] = value;
-                    if value.is_none() && !keep_going {
-                        stopped.set(true);
+                    if value.is_none() && !keep_going && !stopped.replace(true) {
+                        held_at_stop = (0..total)
+                            .filter(|&k| gates[k].is_some_and(|g| settles[g].get() == 0))
+                            .collect();
                     }
                 }
-                Reported::Requeued => prop_assert_eq!(settles[t.index], 0),
+                Reported::Requeued => prop_assert_eq!(settles[t.index].get(), 0),
                 Reported::Skipped => prop_assert!(!keep_going),
                 Reported::Dismissed => {}
             };
@@ -725,17 +857,19 @@ mod tests {
             prop_assert_eq!(report.results.len(), total);
             let mut skips = 0;
             for (i, r) in report.results.iter().enumerate() {
+                let skipped = matches!(r, Err(f) if f.cause == "skipped (fail-fast)");
+                prop_assert!(skipped || !held_at_stop.contains(&i), "held cell {} not skipped", i);
                 match r {
                     Ok(v) => {
-                        prop_assert_eq!(settles[i], 1);
+                        prop_assert_eq!(settles[i].get(), 1);
                         prop_assert_eq!(values[i], Some(*v), "cell {} kept its first value", i);
                     }
-                    Err(f) if f.cause == "skipped (fail-fast)" => {
-                        prop_assert!(!keep_going && settles[i] == 0 && f.attempts == 0);
+                    Err(f) if skipped => {
+                        prop_assert!(!keep_going && settles[i].get() == 0 && f.attempts == 0);
                         skips += 1;
                     }
                     Err(f) => {
-                        prop_assert_eq!((f.index, settles[i]), (i, 1));
+                        prop_assert_eq!((f.index, settles[i].get()), (i, 1));
                         prop_assert!(f.attempts <= max_retries + 1, "{f:?}");
                     }
                 }

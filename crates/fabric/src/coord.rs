@@ -7,8 +7,10 @@
 //! workers are stateless cell evaluators.
 //!
 //! The campaign rules are the single-process sweep's own: the coordinator
-//! drives the same [`Supervisor`] that `supervised_map` does, and adds
-//! only leases, connections and the ledger around it.
+//! drives the same [`Heatmap::campaign`] supervisor that the in-process
+//! sweep does, and adds only leases, connections and the ledger around
+//! it. Cell `(i, 0)` computes solo `i` and gates the rest of row `i`,
+//! whose leases carry that solo's records.
 //!
 //! * A cell that *panics* inside a worker comes back as a `result` with a
 //!   panic cause, and the supervisor applies the [`SweepPolicy`] retry
@@ -22,7 +24,8 @@
 //!   with a delivery error instead of cycling forever.
 //!
 //! Results reach the canonical store one way only: the journal lines of
-//! a cell's own runs ride on its `result` frame and are verified and
+//! a cell's own runs (its foreground's solo included, unless the lease
+//! brought that along) ride on its `result` frame and are verified and
 //! merged as they arrive, by pure dedup on run fingerprint. A campaign
 //! without a store of its own uses an in-memory one, so the fabric writes
 //! no scratch directory at all.
@@ -43,16 +46,18 @@ use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cochar_colocation::sweep::{Reported, Supervisor, Ticket};
 use cochar_colocation::{CellFailure, CellStatus, Heatmap, Study, SweepPolicy};
-use cochar_store::journal::{parse_record, render_record};
-use cochar_store::RunStore;
+use cochar_store::{RunKey, RunStore};
 
 use crate::recover::{self, ResumePrior};
-use crate::wire::{write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell, WireError};
+use crate::wire::{
+    parse_records, resident_records, write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell,
+    WireError,
+};
 use crate::CampaignSpec;
 
 /// How a local worker process is launched: the executable plus the
@@ -161,9 +166,11 @@ pub struct FabricOutcome {
     pub failures: Vec<CellFailure>,
     /// The campaign ledger.
     pub ledger: FabricLedger,
-    /// Wall-clock of the lease-dispatch phase (pair cells only).
+    /// Wall-clock of the campaign (cached-cell pass and lease dispatch).
     pub pair_wall: Duration,
-    /// Wall-clock of the sequential solo pre-seeding phase.
+    /// Always zero: each solo run is part of its row's first cell, so
+    /// there is no separate solo phase. Kept for the campaign benchmark,
+    /// which reads it.
     pub solo_wall: Duration,
     /// The store could not persist everything (mirrors CLI exit code 3).
     pub store_degraded: bool,
@@ -197,6 +204,8 @@ struct Coord {
     cv: Condvar,
     store: RunStore,
     spec: CampaignSpec,
+    /// The run keys of each application's solo, by name index.
+    solo_keys: Vec<Vec<RunKey>>,
     fp: u64,
     cfg: FabricConfig,
     next_conn: AtomicU64,
@@ -244,8 +253,10 @@ impl Coord {
         }
     }
 
-    /// Leases the next ticket to `conn`, if any work is available.
-    fn carve(&self, st: &mut CoordState, conn: u64) -> Option<(u64, WireCell)> {
+    /// Leases the next ticket to `conn`, if any work is available. The
+    /// lease carries the foreground's solo records, so the worker need
+    /// not simulate that solo again.
+    fn carve(&self, st: &mut CoordState, conn: u64) -> Option<Msg> {
         if st.done {
             return None;
         }
@@ -264,19 +275,17 @@ impl Coord {
             LeaseRec { conn, deadline: Instant::now() + self.cfg.lease_timeout, ticket },
         );
         st.ledger.leases_issued += 1;
-        Some((id, cell))
+        Some(Msg::Lease {
+            id,
+            deadline_ms: self.cfg.lease_timeout.as_millis() as u64,
+            cells: vec![cell],
+            records: resident_records(&self.store, self.solo_keys[cell.fg].iter().copied()),
+        })
     }
 
     /// Merges journal lines that rode in on a result frame.
     fn merge_wire_records(&self, records: &[String]) {
-        let mut parsed = Vec::with_capacity(records.len());
-        for line in records {
-            match parse_record(line) {
-                Ok((key, outcome)) => parsed.push((key, Arc::new(outcome))),
-                Err(e) => eprintln!("fabric: dropping unverifiable worker record: {e}"),
-            }
-        }
-        match self.store.merge_records(parsed) {
+        match self.store.merge_records(parse_records(records)) {
             Ok(report) => {
                 let mut st = self.lock();
                 st.ledger.records_merged += report.added;
@@ -355,12 +364,7 @@ impl Coord {
     }
 
     /// One worker connection, handled on its own thread.
-    fn handle_conn(
-        &self,
-        stream: TcpStream,
-        solo_lines: &[String],
-        on_cell: &(impl Fn(usize, usize) + Sync),
-    ) {
+    fn handle_conn(&self, stream: TcpStream, on_cell: &(impl Fn(usize, usize) + Sync)) {
         let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(1000)));
@@ -372,7 +376,6 @@ impl Coord {
             fp: self.fp,
             lease_ms: self.cfg.lease_timeout.as_millis() as u64,
             campaign: self.spec.clone(),
-            solo: solo_lines.to_vec(),
         };
         if write_frame(&mut writer, &hello).is_err() {
             return;
@@ -431,14 +434,7 @@ impl Coord {
                         if st.done {
                             Msg::Done
                         } else {
-                            match self.carve(&mut st, conn) {
-                                Some((id, cell)) => Msg::Lease {
-                                    id,
-                                    deadline_ms: self.cfg.lease_timeout.as_millis() as u64,
-                                    cells: vec![cell],
-                                },
-                                None => Msg::Wait { ms: 100 },
-                            }
+                            self.carve(&mut st, conn).unwrap_or(Msg::Wait { ms: 100 })
                         }
                     };
                     let finished = matches!(reply, Msg::Done);
@@ -490,10 +486,9 @@ impl Coord {
 /// Runs one sharded campaign to completion.
 ///
 /// `study` supplies the store (an in-memory store stands in when it has
-/// none), the solo pre-seed runs, and cached-cell resolution; it must
-/// describe the same measurement protocol as `spec` — the CLI builds both
-/// from the same flags. `on_cell(settled, total)` ticks as pair cells
-/// settle.
+/// none) and cached-cell resolution; it must describe the same
+/// measurement protocol as `spec` — the CLI builds both from the same
+/// flags. `on_cell(settled, total)` ticks as cells settle.
 pub fn run_campaign(
     study: &Study,
     spec: &CampaignSpec,
@@ -515,15 +510,6 @@ pub fn run_campaign(
     // The canonical store: the study's own, or an in-memory one that only
     // lives for this campaign (worker results still need a merge target).
     let store = study.store().cloned().unwrap_or_else(RunStore::in_memory);
-    // A store-less study cannot journal its solos; run the campaign
-    // through a store-backed twin so solo pre-seeding lands in `store`.
-    let seeded_study;
-    let study: &Study = if study.store().is_some() {
-        study
-    } else {
-        seeded_study = spec.build_study(Some(store.clone()))?;
-        &seeded_study
-    };
 
     // --- Phase 0: durable campaign metadata (crash recovery). Only a
     // campaign with an on-disk store is resumable — an in-memory store
@@ -569,27 +555,15 @@ pub fn run_campaign(
         }
     }
 
-    // --- Phase 1: solo pre-seeding (sequential, excluded from pair timing).
-    // Every pair cell divides by its foreground's solo time; computing the
-    // solos once here and shipping the records in `hello` means workers
-    // answer them from cache instead of each re-simulating all N.
-    let solo_start = Instant::now();
-    study.preseed_solos(&spec.names);
-    let solo_wall = solo_start.elapsed();
-    let mut solo_lines = Vec::new();
-    for name in &spec.names {
-        for key in study.solo_keys(name.as_str()) {
-            if let Some(outcome) = store.get(key) {
-                solo_lines.push(render_record(key, &outcome));
-            }
-        }
-    }
-
-    // --- Phase 2: settle cached cells locally; the rest stay queued.
+    // --- Phase 1: settle cached cells locally; the rest stay queued or
+    // held behind their row's first cell. A cell counts as cached only
+    // when its foreground's solo is resident too: otherwise measuring it
+    // here would simulate that solo in the coordinator.
     let names: Vec<&str> = spec.names.iter().map(|s| s.as_str()).collect();
+    let solo_keys: Vec<Vec<RunKey>> = names.iter().map(|n| study.solo_keys(n)).collect();
     let total = names.len() * names.len();
     let mut st = CoordState {
-        sup: Supervisor::new(total, cfg.policy),
+        sup: Heatmap::campaign(names.len(), cfg.policy),
         leases: HashMap::new(),
         done: false,
         next_lease: 1,
@@ -601,7 +575,7 @@ pub fn run_campaign(
     if cfg.resolve_cached {
         for (idx, (i, j)) in Heatmap::pair_cells(names.len()).into_iter().enumerate() {
             let keys = study.pair_keys(names[i], names[j], 0);
-            if keys.is_empty() || !keys.iter().all(|&k| store.contains(k)) {
+            if keys.is_empty() || !keys.iter().chain(&solo_keys[i]).all(|&k| store.contains(k)) {
                 continue;
             }
             let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -624,6 +598,7 @@ pub fn run_campaign(
         cv: Condvar::new(),
         store: store.clone(),
         spec: spec.clone(),
+        solo_keys,
         fp: spec.fingerprint(),
         cfg: cfg.clone(),
         next_conn: AtomicU64::new(1),
@@ -632,7 +607,7 @@ pub fn run_campaign(
     };
 
     if !all_cached {
-        serve(&coord, cfg, &solo_lines, &on_cell)?;
+        serve(&coord, cfg, &on_cell)?;
     }
     let pair_wall = pair_start.elapsed();
 
@@ -651,14 +626,21 @@ pub fn run_campaign(
             eprintln!("warning: {e}");
         }
     }
-    Ok(FabricOutcome { heatmap, failures, ledger, pair_wall, solo_wall, store_degraded, resumed })
+    Ok(FabricOutcome {
+        heatmap,
+        failures,
+        ledger,
+        pair_wall,
+        solo_wall: Duration::ZERO,
+        store_degraded,
+        resumed,
+    })
 }
 
-/// Phase 3: run the listener + local workers until every cell settles.
+/// Phase 2: run the listener + local workers until every cell settles.
 fn serve(
     coord: &Coord,
     cfg: &FabricConfig,
-    solo_lines: &[String],
     on_cell: &(impl Fn(usize, usize) + Sync),
 ) -> Result<(), String> {
     let listener =
@@ -685,7 +667,7 @@ fn serve(
                     st.open_conns += 1;
                 }
                 scope.spawn(|| {
-                    coord.handle_conn(stream, solo_lines, on_cell);
+                    coord.handle_conn(stream, on_cell);
                     coord.lock().open_conns -= 1;
                 });
             }

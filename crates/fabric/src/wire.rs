@@ -8,9 +8,9 @@
 //! (C) vs worker (W):
 //!
 //! ```text
-//! C→W  hello     {t, fp, lease_ms, campaign{machine,work,threads,trials,seed,msr,names}, solo:[line...]}
+//! C→W  hello     {t, fp, lease_ms, campaign{machine,work,threads,trials,seed,msr,names}}
 //! W→C  claim     {t, fp, worker, session, faults}
-//! C→W  lease     {t, id, deadline_ms, cells:[{fg,bg,attempt,issue}...]}
+//! C→W  lease     {t, id, deadline_ms, cells:[{fg,bg,attempt,issue}...], records:[line...]}
 //!      | wait    {t, ms}
 //!      | done    {t}
 //! W→C  result    {t, lease, cell{...}, ok, value?, status?, panic?, records:[line...]}
@@ -22,7 +22,7 @@
 //! `faults` is the worker's cumulative count of wire protocol errors it
 //! has observed, so the coordinator's ledger sees both sides of the link.
 //!
-//! `solo` and `records` carry journal lines exactly as
+//! Both `records` fields carry journal lines exactly as
 //! [`cochar_store::journal::render_record`] produced them — checksummed
 //! and canonical, so the receiving side re-verifies every record with
 //! [`cochar_store::journal::parse_record`] before trusting it. Cell
@@ -48,15 +48,18 @@
 //!   network's fault, a protocol error is evidence of corruption.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use cochar_colocation::CellStatus;
-use cochar_machine::StableHasher;
+use cochar_machine::{RunOutcome, StableHasher};
+use cochar_store::journal::{parse_record, render_record};
 use cochar_store::json::Json;
+use cochar_store::{RunKey, RunStore};
 
 use crate::CampaignSpec;
 
-/// Upper bound on one frame's payload (a lease or result is a few KB; a
-/// hello shipping a big solo seed set can reach megabytes).
+/// Upper bound on one frame's payload (a lease or result is a few KB
+/// per journal record it carries).
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Frame header size: 4-byte length + 8-byte checksum.
@@ -120,8 +123,7 @@ pub enum CellOutcome {
 /// A parsed protocol message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
-    /// Coordinator greeting: campaign description + solo seed records,
-    /// which the worker merges into its own (in-memory) store.
+    /// Coordinator greeting: the campaign description.
     Hello {
         /// Campaign fingerprint ([`CampaignSpec::fingerprint`]).
         fp: u64,
@@ -129,9 +131,6 @@ pub enum Msg {
         lease_ms: u64,
         /// The campaign itself.
         campaign: CampaignSpec,
-        /// Journal lines pre-seeding every solo run, so workers only
-        /// simulate pair cells.
-        solo: Vec<String>,
     },
     /// Worker requests work, echoing the fingerprint it was greeted with.
     Claim {
@@ -154,6 +153,9 @@ pub enum Msg {
         deadline_ms: u64,
         /// The cells to compute.
         cells: Vec<WireCell>,
+        /// Journal lines of the cells' foreground solo runs from the
+        /// canonical store (none while the row's first cell is out).
+        records: Vec<String>,
     },
     /// No work right now; ask again in `ms`.
     Wait {
@@ -172,7 +174,9 @@ pub enum Msg {
         /// What happened.
         outcome: CellOutcome,
         /// Journal lines of this cell attempt's runs
-        /// ([`cochar_colocation::Study::pair_keys`]) from the worker's store.
+        /// ([`cochar_colocation::Study::solo_keys`] of its foreground and
+        /// [`cochar_colocation::Study::pair_keys`]) from the worker's
+        /// store, less those its lease carried.
         records: Vec<String>,
     },
     /// Lease keep-alive while a long cell computes.
@@ -288,6 +292,22 @@ fn lines_from_json(v: &Json) -> Result<Vec<String>, String> {
         .collect()
 }
 
+/// The journal lines of those `keys` resident in `store`, as a frame
+/// carries them.
+pub(crate) fn resident_records(
+    store: &RunStore,
+    keys: impl Iterator<Item = RunKey>,
+) -> Vec<String> {
+    keys.filter_map(|k| Some(render_record(k, store.get(k)?.as_ref()))).collect()
+}
+
+/// Verifies the journal lines a frame carried, dropping (with a warning)
+/// any that fail.
+pub(crate) fn parse_records(lines: &[String]) -> Vec<(RunKey, Arc<RunOutcome>)> {
+    let parse = |line| parse_record(line).map_err(|e| eprintln!("fabric: dropping record: {e}"));
+    lines.iter().filter_map(|line| parse(line).ok()).map(|(k, o)| (k, Arc::new(o))).collect()
+}
+
 fn parse_hex16(v: &Json) -> Result<u64, String> {
     let s = v.as_str().map_err(|e| e.to_string())?;
     u64::from_str_radix(s, 16).map_err(|_| format!("bad hex fingerprint {s:?}"))
@@ -297,12 +317,11 @@ impl Msg {
     /// Renders the message as its JSON document.
     pub fn to_json(&self) -> Json {
         match self {
-            Msg::Hello { fp, lease_ms, campaign, solo } => obj(vec![
+            Msg::Hello { fp, lease_ms, campaign } => obj(vec![
                 ("t", Json::str("hello")),
                 ("fp", hex16(*fp)),
                 ("lease_ms", Json::u64(*lease_ms)),
                 ("campaign", campaign_to_json(campaign)),
-                ("solo", lines_to_json(solo)),
             ]),
             Msg::Claim { fp, worker, session, faults } => obj(vec![
                 ("t", Json::str("claim")),
@@ -311,11 +330,12 @@ impl Msg {
                 ("session", Json::u64(u64::from(*session))),
                 ("faults", Json::u64(*faults)),
             ]),
-            Msg::Lease { id, deadline_ms, cells } => obj(vec![
+            Msg::Lease { id, deadline_ms, cells, records } => obj(vec![
                 ("t", Json::str("lease")),
                 ("id", Json::u64(*id)),
                 ("deadline_ms", Json::u64(*deadline_ms)),
                 ("cells", Json::Arr(cells.iter().map(|c| c.to_json()).collect())),
+                ("records", lines_to_json(records)),
             ]),
             Msg::Wait { ms } => obj(vec![("t", Json::str("wait")), ("ms", Json::u64(*ms))]),
             Msg::Done => obj(vec![("t", Json::str("done"))]),
@@ -360,7 +380,6 @@ impl Msg {
                 fp: parse_hex16(v.field("fp").map_err(|e| e.to_string())?)?,
                 lease_ms: u("lease_ms")?,
                 campaign: campaign_from_json(v.field("campaign").map_err(|e| e.to_string())?)?,
-                solo: lines_from_json(v.field("solo").map_err(|e| e.to_string())?)?,
             }),
             "claim" => Ok(Msg::Claim {
                 fp: parse_hex16(v.field("fp").map_err(|e| e.to_string())?)?,
@@ -381,6 +400,7 @@ impl Msg {
                     .iter()
                     .map(WireCell::from_json)
                     .collect::<Result<Vec<_>, _>>()?,
+                records: lines_from_json(v.field("records").map_err(|e| e.to_string())?)?,
             }),
             "wait" => Ok(Msg::Wait { ms: u("ms")? }),
             "done" => Ok(Msg::Done),
@@ -571,10 +591,14 @@ mod tests {
             fp: 0xdead_beef,
             lease_ms: 30_000,
             campaign: spec(),
-            solo: vec!["{\"k\":\"x\"}".into()],
         });
         round_trip(Msg::Claim { fp: 1, worker: "w0".into(), session: 3, faults: 2 });
-        round_trip(Msg::Lease { id: 9, deadline_ms: 30_000, cells: vec![cell] });
+        round_trip(Msg::Lease {
+            id: 9,
+            deadline_ms: 30_000,
+            cells: vec![cell],
+            records: vec!["{\"k\":\"x\"}".into()],
+        });
         round_trip(Msg::Wait { ms: 200 });
         round_trip(Msg::Done);
         round_trip(Msg::Result {

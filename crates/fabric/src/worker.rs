@@ -2,14 +2,15 @@
 //!
 //! A worker connects, receives the campaign spec in `hello`, rebuilds the
 //! exact same [`cochar_colocation::Study`] the coordinator holds (same
-//! run keys — that is the merge invariant), pre-seeds its store (in
-//! memory unless [`WorkerConfig::store_dir`] names one) with the solo
-//! records that rode in, and then claims leases until the coordinator
-//! says `done`. Each leased cell is computed under panic isolation; the
+//! run keys — that is the merge invariant) over its own store (in memory
+//! unless [`WorkerConfig::store_dir`] names one), and then claims leases
+//! until the coordinator says `done`. A lease's solo records are merged
+//! into that store first, so the worker answers the cell's denominator
+//! from cache. Each leased cell is computed under panic isolation; the
 //! coordinator owns all retry policy, so the worker just reports what
 //! happened. The `result` frame is the only way a run reaches the
 //! canonical store: it carries the journal records of that cell's own
-//! runs.
+//! runs, its foreground's solo included, less those the lease carried.
 //!
 //! While a lease is held, a heartbeat thread extends it every
 //! `lease_ms / 3`, so a slow cell does not get re-issued out from under a
@@ -31,8 +32,8 @@
 //! reconnecting costs one TCP handshake and one hello, not a rebuild.
 //!
 //! The first connect also retries within [`WorkerConfig::connect_retry`],
-//! so a worker racing `fabric serve` startup (or a coordinator mid-solo
-//! phase) waits for the listener instead of failing instantly.
+//! so a worker racing `fabric serve` startup waits for the listener
+//! instead of failing instantly.
 //!
 //! Chaos hooks (armed by the CLI from `COCHAR_CHAOS_WORKER` and
 //! `COCHAR_CHAOS_WIRE`, inert otherwise) let the test suite kill or hang
@@ -52,11 +53,13 @@ use std::time::{Duration, Instant};
 
 use cochar_colocation::sweep::{panic_message, pin_slot};
 use cochar_colocation::{Heatmap, Study};
-use cochar_store::journal::{parse_record, render_record};
-use cochar_store::RunStore;
+use cochar_store::{RunKey, RunStore};
 
 use crate::chaos::{ChaosState, ChaosStream, WirePlan};
-use crate::wire::{write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell, WireError};
+use crate::wire::{
+    parse_records, resident_records, write_frame, CellOutcome, Frame, FrameReader, Msg, WireCell,
+    WireError,
+};
 
 /// Worker-side fault injection, armed per-cell (see module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -231,13 +234,6 @@ fn send_to(writer: &SharedWriter, msg: &Msg) -> bool {
     write_frame(&mut *w, msg).is_ok()
 }
 
-/// Journal lines of the runs of one cell attempt that are resident in
-/// `store`: what the coordinator needs to answer the cell from cache.
-fn cell_records(study: &Study, store: &RunStore, fg: &str, bg: &str, attempt: u32) -> Vec<String> {
-    let keys = study.pair_keys(fg, bg, attempt);
-    keys.into_iter().filter_map(|k| Some(render_record(k, store.get(k)?.as_ref()))).collect()
-}
-
 #[cfg(unix)]
 fn kill_self_hard() {
     extern "C" {
@@ -292,8 +288,9 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
         // Best effort: an over-subscribed host just leaves it to the OS.
         pin_slot(slot);
     }
-    // Private store, pre-seeded with the solos so this worker never
-    // simulates a denominator. Opened once; sessions share it.
+    // Private store, fed the solo records leases carry so this worker
+    // does not simulate a denominator twice. Opened once; sessions share
+    // it.
     let store = match &cfg.store_dir {
         Some(dir) => RunStore::open(dir).map_err(|e| e.to_string())?,
         None => RunStore::in_memory(),
@@ -378,14 +375,14 @@ fn run_session(
     }));
     let mut reader = FrameReader::new(stream);
 
-    // Greeting: the campaign by value, plus solo pre-seed records.
+    // Greeting: the campaign by value.
     let hello = match recv(&mut reader, cfg.reply_timeout, &mut st.summary.wire_faults) {
         Recv::Msg(m) => m,
         Recv::Closed(why) => return SessionEnd::Lost(format!("before hello: {why}")),
         Recv::Timeout => return SessionEnd::Lost("no hello within the reply timeout".into()),
     };
-    let (fp, lease_ms, campaign, solo) = match hello {
-        Msg::Hello { fp, lease_ms, campaign, solo } => (fp, lease_ms, campaign, solo),
+    let (fp, lease_ms, campaign) = match hello {
+        Msg::Hello { fp, lease_ms, campaign } => (fp, lease_ms, campaign),
         other => return SessionEnd::Fatal(format!("expected hello, got {other:?}")),
     };
     match st.fp {
@@ -400,16 +397,6 @@ fn run_session(
         _ => st.fp = Some(fp),
     }
     if st.study.is_none() {
-        let mut seeds = Vec::with_capacity(solo.len());
-        for line in &solo {
-            match parse_record(line) {
-                Ok((key, outcome)) => seeds.push((key, Arc::new(outcome))),
-                Err(e) => eprintln!("worker {}: dropping bad solo record: {e}", cfg.label),
-            }
-        }
-        if let Err(e) = store.merge_records(seeds) {
-            return SessionEnd::Fatal(e.to_string());
-        }
         let mut study = match campaign.build_study(Some(store.clone())) {
             Ok(s) => s,
             Err(e) => return SessionEnd::Fatal(e),
@@ -518,9 +505,14 @@ fn session_loop(
         match reply {
             Msg::Done => return SessionEnd::Dismissed,
             Msg::Wait { ms } => std::thread::sleep(Duration::from_millis(ms.min(1000))),
-            Msg::Lease { id, cells, .. } => {
+            Msg::Lease { id, cells, records, .. } => {
                 summary.leases += 1;
                 current_lease.store(id, Ordering::Relaxed);
+                let carried = parse_records(&records);
+                let carried_keys: Vec<RunKey> = carried.iter().map(|&(k, _)| k).collect();
+                if let Err(e) = store.merge_records(carried) {
+                    return SessionEnd::Fatal(e.to_string());
+                }
                 for cell in cells {
                     let (Some(fg), Some(bg)) = (names.get(cell.fg), names.get(cell.bg))
                     else {
@@ -545,7 +537,12 @@ fn session_loop(
                             CellOutcome::Panic { cause: panic_message(e.as_ref()) }
                         }
                     };
-                    let records = cell_records(study, store, fg, bg, cell.attempt);
+                    // This attempt's runs and its foreground's solo, less
+                    // what the lease brought: what the coordinator lacks.
+                    let keys = study.solo_keys(fg).into_iter();
+                    let keys = keys.chain(study.pair_keys(fg, bg, cell.attempt));
+                    let records =
+                        resident_records(store, keys.filter(|k| !carried_keys.contains(k)));
                     *pending = Some(PendingResult {
                         lease: id,
                         cell,

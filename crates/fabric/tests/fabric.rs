@@ -159,9 +159,10 @@ fn store_backed_campaign_is_cached_on_rerun() {
         WorkerConfig::new(addr)
     });
     assert!(first.failures.is_empty());
-    // Each result carries exactly its own cell's run: one record per
-    // cell, none shipped twice.
-    assert_eq!(first.ledger.records_merged as usize, NAMES.len() * NAMES.len());
+    // Each result carries exactly its own cell's runs, a row's first
+    // cell also its foreground's solo: one record per cell and per solo,
+    // none shipped twice.
+    assert_eq!(first.ledger.records_merged as usize, NAMES.len() * NAMES.len() + NAMES.len());
     assert_eq!(first.ledger.records_duplicate, 0, "ledger: {:?}", first.ledger);
 
     // Second run over the same store, now with --resume: every cell
@@ -176,6 +177,33 @@ fn store_backed_campaign_is_cached_on_rerun() {
     assert!(prior.runs >= 1, "prior: {prior:?}");
     assert_eq!(prior.ledger.records_merged, first.ledger.records_merged);
 
+    drop(study);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn coordinator_simulates_nothing_on_a_cold_campaign() {
+    // Solos run inside each row's first cell on the workers and reach the
+    // store on its result; the other cells' leases carry them to whichever
+    // worker draws the cell. So the coordinator runs nothing, and every
+    // run is merged exactly once.
+    let dir = std::env::temp_dir()
+        .join(format!("cochar-fabric-test-cold-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = tiny_spec();
+    let store = cochar_store::RunStore::open(&dir).expect("store opens");
+    let study = spec.build_study(Some(store)).expect("spec builds");
+    let outcome = run_on(&study, &spec, FabricConfig::default(), 2, 0, |i, addr| {
+        let mut c = WorkerConfig::new(addr);
+        c.label = format!("w{i}");
+        c
+    });
+    assert!(outcome.failures.is_empty(), "failures: {:?}", outcome.failures);
+    assert_eq!(outcome.heatmap.to_csv(), reference_csv(&spec));
+    assert_eq!(study.run_counts().0, 0, "the coordinator simulated a run");
+    let n = NAMES.len() as u64;
+    assert_eq!(outcome.ledger.records_merged, n + n * n, "ledger: {:?}", outcome.ledger);
+    assert_eq!(outcome.ledger.records_duplicate, 0, "ledger: {:?}", outcome.ledger);
     drop(study);
     let _ = std::fs::remove_dir_all(&dir);
 }
